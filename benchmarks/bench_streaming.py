@@ -1,10 +1,11 @@
-"""Peak memory of the streaming shard merge vs the batch merge.
+"""Peak memory of the streaming shard merge vs collect-then-merge.
 
-The batch path materializes every shard's ``EnsembleResult`` and then
-concatenates, so its working set carries the whole ensemble roughly
-twice (all shard results plus the merged arrays).  The streaming path
-(``ParallelRunner(stream=True)``, the default) preallocates the merged
-arrays once and folds each shard as it completes, holding at most
+Collect-then-merge (the "batch" reference, run here by hand: every
+shard of the plan, then ``merge_parts`` over the list) materializes
+every shard's ``EnsembleResult`` and then concatenates, so its working
+set carries the whole ensemble roughly twice (all shard results plus
+the merged arrays).  The runner's streaming merge preallocates the
+merged arrays once and folds each shard as it completes, holding at most
 ``O(workers)`` shard results in flight — the peak should sit near one
 merged ensemble and stay roughly **flat in the shard count**, at equal
 wall-clock, with bit-identical output.  This harness measures both
@@ -44,8 +45,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.miners import Allocation
+from repro.core.results import merge_parts
 from repro.protocols import MultiLotteryPoS
-from repro.runtime import ParallelRunner, SimulationSpec
+from repro.runtime import ParallelRunner, SimulationSpec, plan_shards
+from repro.runtime.runner import _run_simulation_shard
 
 SEED = 2021
 DEFAULT_TRIALS = 100_000
@@ -78,15 +81,27 @@ def _peak_rss_bytes() -> Optional[int]:
     return rss * 1024 if sys.platform != "darwin" else rss
 
 
+def collect_then_merge(spec: SimulationSpec, shards: int):
+    """The reference the streaming fold replaces: run every shard of the
+    plan with the runner's own shard function, hold the whole result
+    list, then merge it."""
+    plan = plan_shards(spec.trials, spec.seed_sequence, shards)
+    return merge_parts([_run_simulation_shard((spec, shard)) for shard in plan])
+
+
 def measure(
-    spec: SimulationSpec, shards: int, stream: bool
+    spec: SimulationSpec, shards: int, streaming: bool
 ) -> Dict[str, object]:
-    """Run the spec once, recording traced peak memory and wall-clock."""
-    runner = ParallelRunner(workers=1, stream=stream)
+    """Run the spec once — through the runner's streaming merge, or by
+    collect-then-merge — recording traced peak memory and wall-clock."""
+    runner = ParallelRunner(workers=1)
     gc.collect()
     tracemalloc.start()
     start = time.perf_counter()
-    result = runner.run(spec, shards=shards)
+    if streaming:
+        result = runner.run(spec, shards=shards)
+    else:
+        result = collect_then_merge(spec, shards)
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -96,7 +111,7 @@ def measure(
     )
     return {
         "shards": shards,
-        "stream": stream,
+        "streaming": streaming,
         "seconds": round(seconds, 4),
         "peak_traced_bytes": peak,
         "merged_result_bytes": merged_bytes,
@@ -112,11 +127,12 @@ def compare(
     spec = build_spec(trials, horizon)
     rows = []
     for shards in shard_counts:
-        batch = measure(spec, shards, stream=False)
-        streamed = measure(spec, shards, stream=True)
+        batch = measure(spec, shards, streaming=False)
+        streamed = measure(spec, shards, streaming=True)
         if batch.pop("_digest") != streamed.pop("_digest"):
             raise AssertionError(
-                f"streaming diverged from batch merge at shards={shards} — "
+                f"streaming diverged from collect-then-merge at "
+                f"shards={shards} — "
                 "refusing to report memory savings for wrong results"
             )
         rows.append(
@@ -203,7 +219,7 @@ def test_streaming_peak_beats_batch_at_equal_wallclock():
 
 def test_streaming_bench(benchmark):
     spec = build_spec(20_000, 100)
-    runner = ParallelRunner(workers=1, stream=True)
+    runner = ParallelRunner(workers=1)
     benchmark.pedantic(
         runner.run, args=(spec,), kwargs={"shards": 16}, rounds=1, iterations=1
     )

@@ -25,12 +25,11 @@ Demonstrates the ways to use the runtime layer:
    hot loop with its ``fast=False`` escape hatch (the system-side
    analogue of ``kernel="naive"`` — bit-identical either way),
 
-7. the streaming shard merge (``stream=True``, the default, the CLI's
-   ``--stream``/``--no-stream``): shard results fold into the merged
-   ensemble as they complete instead of piling up for a terminal
-   merge, so a 100k-trial run peaks near ONE merged ensemble in
-   memory instead of two — bit-identical to the batch path, same
-   cache artifacts,
+7. the streaming shard merge (the runner's only merge): shard results
+   fold into the merged ensemble as they complete instead of piling
+   up for a terminal merge, so a 100k-trial run peaks near ONE merged
+   ensemble in memory instead of two — bit-identical to running every
+   shard by hand and merging the collected list,
 
 8. runtime telemetry (``repro.obs``, the CLI's ``--trace PATH`` and
    ``--metrics``): install an ambient span tracer + metrics registry
@@ -251,15 +250,20 @@ def main() -> None:
           f"{fast_s:.2f}s ({naive_s / fast_s:.1f}x), "
           f"bit-identical = {identical}")
 
-    # 7. Streaming merge on a large ensemble: the batch path holds
-    #    every shard result AND the concatenated ensemble at its peak;
-    #    streaming preallocates the merged arrays once and folds each
-    #    shard as it completes (out-of-order completions wait in a
+    # 7. Streaming merge on a large ensemble: collecting every shard
+    #    result and merging the list at the end (done by hand below)
+    #    holds every shard result AND the concatenated ensemble at its
+    #    peak; the runner preallocates the merged arrays once and folds
+    #    each shard as it completes (out-of-order completions wait in a
     #    bounded reorder buffer), so peak memory stays near one merged
     #    ensemble no matter how many shards the run splits into.  This
-    #    is what `repro-experiments fig3 --workers 4 --stream` does —
-    #    streaming is the default; `--no-stream` restores the old path.
+    #    is what `repro-experiments fig3 --workers 4` does.
     import tracemalloc
+
+    from repro.core.results import merge_parts
+    from repro.runtime import plan_shards
+    from repro.sim.engine import MonteCarloEngine
+    from repro.sim.rng import RandomSource
 
     big = SimulationSpec(
         protocol=MultiLotteryPoS(reward=0.01),
@@ -269,17 +273,36 @@ def main() -> None:
         checkpoints=tuple(range(20, 220, 20)),
         seed=2021,
     )
-    peaks = {}
-    for label, stream in (("batch", False), ("stream", True)):
+
+    def collect_then_merge(spec, shards):
+        parts = [
+            MonteCarloEngine(
+                spec.protocol, spec.allocation, trials=shard.trials,
+                seed=RandomSource(shard.seed),
+            ).run(spec.horizon, spec.checkpoints)
+            for shard in plan_shards(spec.trials, spec.seed_sequence, shards)
+        ]
+        return merge_parts(parts)
+
+    runs = {
+        "batch": lambda: collect_then_merge(big, 32),
+        "stream": lambda: ParallelRunner(workers=1).run(big, shards=32),
+    }
+    peaks, results = {}, {}
+    for label, run in runs.items():
         tracemalloc.start()
-        result = ParallelRunner(workers=1, stream=stream).run(big, shards=32)
+        results[label] = run()
         _, peaks[label] = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    print(f"100k-trial ensemble, 32 shards: batch peak "
+    same_bits = np.array_equal(
+        results["batch"].reward_fractions, results["stream"].reward_fractions
+    )
+    print(f"100k-trial ensemble, 32 shards: collect-then-merge peak "
           f"{peaks['batch'] / 1e6:.0f} MB vs streaming peak "
           f"{peaks['stream'] / 1e6:.0f} MB "
-          f"({peaks['stream'] / peaks['batch']:.2f}x, same bits, "
-          f"{result.trials} trials)")
+          f"({peaks['stream'] / peaks['batch']:.2f}x, bit-identical = "
+          f"{same_bits}, {results['stream'].trials} trials)")
+    del results
 
     # 8. Telemetry: wrap any run in an ambient tracer + metrics
     #    registry and every layer underneath reports in — the runner

@@ -29,7 +29,7 @@ setup(
     packages=find_packages("src"),
     package_dir={"": "src"},
     python_requires=">=3.8",
-    install_requires=["numpy>=1.20"],
+    install_requires=["numpy>=1.20", "scipy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },

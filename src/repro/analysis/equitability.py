@@ -26,7 +26,7 @@ import numpy as np
 
 from .._validation import ensure_fraction
 
-__all__ = ["equitability", "equitability_series"]
+__all__ = ["equitability", "equitability_from_variance", "equitability_series"]
 
 
 def equitability(fractions, share: float) -> float:
@@ -49,8 +49,16 @@ def equitability(fractions, share: float) -> float:
         raise ValueError("need at least two samples to measure dispersion")
     if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
         raise ValueError("reward fractions must lie in [0, 1]")
+    return equitability_from_variance(float(values.var()), share)
+
+
+def equitability_from_variance(variance: float, share: float) -> float:
+    """Equitability from the population variance (``ddof=0``) of
+    ``lambda_A`` — what a moment summary such as
+    :class:`~repro.core.stats.MomentView` holds without any samples."""
+    share = ensure_fraction("share", share)
     worst_case = share * (1.0 - share)
-    ratio = float(values.var()) / worst_case
+    ratio = float(variance) / worst_case
     return float(np.clip(1.0 - ratio, 0.0, 1.0))
 
 

@@ -76,10 +76,9 @@ def run_simulation_grid(
     :class:`~repro.runtime.ParallelRunner` is configured
     (``--workers``/``--cache``), every uncached shard of the whole grid
     goes to the pool in a single dispatch via
-    :meth:`~repro.runtime.ParallelRunner.run_many` — by default with
-    the streaming merge (the CLI's ``--stream``/``--no-stream``): each
-    cell's shards fold as they complete and the cell's artifact is
-    cached the moment its last shard lands, so grid-wide peak memory
+    :meth:`~repro.runtime.ParallelRunner.run_many`: each cell's shards
+    fold as they complete and the cell's artifact is cached the moment
+    its last shard lands, so grid-wide peak memory
     holds ``O(workers)`` shard results rather than every shard of
     every cell.  Otherwise cells run serially in-process.
     """
@@ -165,8 +164,8 @@ def run_system_grid(
     (``--workers``/``--cache``), every uncached shard of every cell —
     e.g. all four protocols of Figure 2's system sweep — goes to the
     pool in a *single* :meth:`~repro.runtime.ParallelRunner.run_system_many`
-    dispatch under the grid-wide shard progress line (streaming merge
-    by default, exactly like :func:`run_simulation_grid`); otherwise
+    dispatch under the grid-wide shard progress line (shards fold as
+    they complete, exactly like :func:`run_simulation_grid`); otherwise
     cells run serially in-process.
     """
     from ..runtime.context import get_default_runtime

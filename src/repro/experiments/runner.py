@@ -118,23 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers > 1 or --cache",
     )
     parser.add_argument(
-        "--stream",
-        dest="stream",
-        action="store_true",
-        default=None,
-        help="fold shard results as they complete (the default): peak "
-        "memory stays O(workers) shard results instead of O(shards), "
-        "bit-identical to the batch merge.  Requires --workers > 1 "
-        "or --cache",
-    )
-    parser.add_argument(
-        "--no-stream",
-        dest="stream",
-        action="store_false",
-        help="collect every shard result before merging (the "
-        "pre-streaming path; same bits, higher peak memory)",
-    )
-    parser.add_argument(
         "--reduce",
         default="full",
         choices=["full", "stats"],
@@ -142,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trial's trajectory; 'stats' folds shards straight into "
         "mergeable sufficient statistics, so figure-scale series come "
         "out in bounded memory at population-scale trial counts.  A "
-        "physics knob — unlike --backend/--stream it enters cache "
+        "physics knob — unlike --backend it enters cache "
         "fingerprints, so the two modes never share cache entries",
     )
     parser.add_argument(
@@ -220,10 +203,10 @@ class _ShardProgress:
     A whole figure grid goes through a single pool dispatch, so the
     line counts shards across every cell of the grid; it is rewritten
     in place (carriage return) and finished with a newline when the
-    dispatch completes.  On the (default) streaming path the count is
-    of *merged* shards — the plan-order fold cursor — not dispatched
-    ones, so ``k`` can never overshoot ``N`` when a shard fails
-    mid-grid and the completed specs are salvaged.
+    dispatch completes.  The count is of *merged* shards — the
+    plan-order fold cursor — not dispatched ones, so ``k`` can never
+    overshoot ``N`` when a shard fails mid-grid and the completed specs
+    are salvaged.
 
     Retried shards never double-count: ``k`` advances once per shard's
     *final* outcome, while retries accumulate in a separate tally that
@@ -315,10 +298,6 @@ def _build_runtime(args) -> Optional[ParallelRunner]:
             raise SystemExit(
                 "--backend requires --workers > 1 or --cache"
             )
-        if args.stream is not None:
-            raise SystemExit(
-                "--stream/--no-stream requires --workers > 1 or --cache"
-            )
         if args.retries is not None:
             raise SystemExit("--retries requires --workers > 1 or --cache")
         if args.shard_timeout is not None:
@@ -350,7 +329,6 @@ def _build_runtime(args) -> Optional[ParallelRunner]:
             cache=cache,
             backend=args.backend or "processes",
             progress=_ShardProgress(),
-            stream=True if args.stream is None else args.stream,
             retry=args.retries,
             timeout=args.shard_timeout,
             journal=journal,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..analysis.equitability import equitability
+from ..analysis.equitability import equitability_from_variance
 from ..core.fairness import DEFAULT_DELTA, DEFAULT_EPSILON
 from ..core.miners import Allocation
 from ..protocols.base import IncentiveProtocol
@@ -171,7 +171,9 @@ def run(config: Section64Config = Section64Config()) -> Section64Result:
                 paper_robust_profile=robust_profile,
                 mean_fraction=float(final.mean()),
                 unfair_probability=robust.unfair_probability,
-                equitability=equitability(final, share),
+                # From the population variance, so the moments of
+                # reduce="stats" answer it as well as the samples do.
+                equitability=equitability_from_variance(final.var(), share),
                 expectational_ok=expectational.is_fair,
             )
         )

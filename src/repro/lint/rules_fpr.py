@@ -1,7 +1,7 @@
 """FPR: execution knobs must never enter cache fingerprints.
 
 The cache doctrine: physics knobs always fingerprint, execution knobs
-(kernel, fast, backend, stream, workers, retry/timeout/resume) never
+(kernel, fast, backend, workers, retry/timeout/resume) never
 do — one cached artifact answers every setting of a bit-identical path
 selector.  These rules check both directions statically against
 :mod:`repro.runtime.spec`:

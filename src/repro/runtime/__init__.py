@@ -22,12 +22,12 @@ cache
     :class:`ResultCache` — content-addressed ``.npz`` storage layered
     on :mod:`repro.sim.persistence`.
 runner
-    :class:`ParallelRunner` — plan, fan out, merge, cache.  Merging
-    streams by default: shard results fold into a
-    :class:`~repro.core.results.MergeAccumulator` in plan order as
-    they complete (out-of-order completions staged in a bounded
-    :class:`ReorderBuffer`), capping in-flight shard results at
-    ``O(workers)`` while staying bit-identical to the batch merge.
+    :class:`ParallelRunner` — plan, fan out, merge, cache.  Shard
+    results fold into a :class:`~repro.core.results.MergeAccumulator`
+    in plan order as they complete (out-of-order completions staged in
+    a bounded :class:`ReorderBuffer`), capping in-flight shard results
+    at ``O(workers)`` while staying bit-identical to
+    :func:`~repro.core.results.merge_parts` over the full shard list.
 context
     An ambient default runtime consulted by the experiment layer so
     ``--workers``/``--cache`` flags reach every figure without

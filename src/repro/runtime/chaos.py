@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .executor import Executor, ProgressCallback, StreamItem
+from .executor import Executor, StreamItem
 from .faults import RetryPolicy, TransientShardError
 
 __all__ = [
@@ -216,8 +216,8 @@ class _ChaosCall:
 class ChaosExecutor(Executor):
     """Wrap an executor so its tasks run under a fault schedule.
 
-    Forwards ``map``/``stream`` to the inner executor with every task
-    tagged by index and the task function wrapped in the sabotaging
+    Forwards ``stream`` (and so the inherited ``map``) to the inner
+    executor with every task tagged by index and the task function wrapped in the sabotaging
     :class:`_ChaosCall`.  Fault-tolerance knobs live on the *inner*
     executor (chaos wraps it, it does not replace it); the properties
     here delegate so callers — the runner's retry tally in particular
@@ -267,16 +267,6 @@ class ChaosExecutor(Executor):
     ) -> Tuple[_ChaosCall, List[Tuple[int, Any]]]:
         tagged = [(index, task) for index, task in enumerate(list(tasks))]
         return _ChaosCall(fn, self.schedule, os.getpid()), tagged
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        wrapped, tagged = self._wrap(fn, tasks)
-        return self.inner.map(wrapped, tagged, progress=progress)
 
     def stream(
         self,

@@ -1,32 +1,31 @@
 """Executor backends: serial, multiprocessing and thread-pool engines.
 
-An executor maps a picklable task function over a list of tasks and
-returns the results *in task order* — the property the sharding layer
-relies on for bit-identical merges.  Failures are aggregated rather
-than raised at first error: every shard runs (or is drained), then a
-single :class:`ShardExecutionError` reports all failing shards with
-their tracebacks.
+Each backend implements one engine, :meth:`Executor.stream`: tasks run
+under a bounded submission window and completions are yielded as
+``(task_index, ok, payload)`` the moment they resolve, so at most
+``O(workers)`` results exist between the pool and the consumer.  The
+runner's merge folds these through a reorder buffer in plan order,
+which is how 100k-trial ensembles merge without ever materializing
+every shard result at once.  :meth:`Executor.map` is a collect over
+that stream: results *in task order* — the property the sharding layer
+relies on for bit-identical merges — with failures aggregated rather
+than raised at first error, so every shard runs, then a single
+:class:`ShardExecutionError` reports all failing shards with their
+tracebacks.
 
-Each backend also offers :meth:`Executor.stream`: completions yielded
-as ``(task_index, ok, payload)`` the moment futures resolve, with a
-bounded submission window so at most ``O(workers)`` results exist
-between the pool and the consumer.  The runner's streaming merge folds
-these through a reorder buffer in plan order, which is how 100k-trial
-ensembles merge without ever materializing every shard result at once
-while staying bit-identical to the batch path.
-
-Fault tolerance is opt-in via :func:`make_executor`'s ``retry`` and
-``timeout`` knobs (see :mod:`repro.runtime.faults`).  With either set,
-each shard gets up to ``RetryPolicy.max_attempts`` attempts with
-deterministic exponential backoff, a per-shard deadline abandons hung
-workers, dead worker processes are detected and the pool respawned,
-and an unrecoverable pool degrades the remaining shards to serial
-in-process execution behind a loud :class:`PoolDegradedWarning`.
-Because shards are idempotent pure functions of their plan, a retried
-run is **bit-identical** to a clean one.  Every index is still yielded
-exactly once — with its *final* outcome — so plan-order consumers are
-oblivious to the attempts underneath.  With both knobs at their
-``None`` defaults, the original code paths run unchanged.
+The same engine carries the fault tolerance (see
+:mod:`repro.runtime.faults`).  :func:`make_executor`'s ``retry`` knob
+gives each shard up to ``RetryPolicy.max_attempts`` attempts with
+deterministic exponential backoff, and its ``timeout`` knob sets a
+per-shard deadline that abandons hung workers.  Dead worker processes
+are always detected and the pool respawned, and an unrecoverable pool
+degrades the remaining shards to serial in-process execution behind a
+loud :class:`PoolDegradedWarning`.  Because shards are idempotent pure
+functions of their plan, a retried run is **bit-identical** to a clean
+one.  Every index is yielded exactly once — with its *final* outcome —
+so plan-order consumers are oblivious to the attempts underneath.
+With both knobs at their ``None`` defaults the engine simply makes one
+attempt per shard and sets no deadlines.
 
 The multiprocessing backend prefers the ``fork`` start method where
 available (cheap on Linux, and shard tasks are read-only after fork)
@@ -86,8 +85,8 @@ ProgressCallback = Callable[[int, int], None]
 StreamItem = Tuple[int, bool, Any]
 
 #: How often (seconds) the process backend checks worker liveness while
-#: waiting on completions in fault-tolerant mode — a crashed worker
-#: never delivers a callback, so liveness must be polled.
+#: waiting on completions — a crashed worker never delivers a callback,
+#: so liveness must be polled.
 _LIVENESS_TICK = 0.25
 
 
@@ -101,14 +100,13 @@ class ShardExecutionError(RuntimeError):
         When retries were enabled, the ``error_repr`` of a shard that
         exhausted its attempts is suffixed with the attempt count.
     results:
-        The drained per-task results, in task order, with None at the
-        failed indices — so callers batching independent workloads can
-        salvage the tasks that did complete (e.g. cache them) before
-        re-raising.  **May be None**: the streaming merge (the
-        runner's default) deliberately does not retain per-task
-        results — that retention is what streaming eliminates — and
-        instead salvages completed specs straight into the cache
-        before raising.  Callers must guard for both shapes.
+        The drained per-task results of :meth:`Executor.map`, in task
+        order, with None at the failed indices — so callers batching
+        independent workloads can salvage the tasks that did complete.
+        **None** when the runner raises: its streaming merge
+        deliberately does not retain per-task results — that retention
+        is what streaming eliminates — and instead caches completed
+        specs as they finalize.
     """
 
     def __init__(
@@ -170,41 +168,15 @@ def _resolve_window(window: Optional[int], pool_size: int) -> int:
     return max(ensure_positive_int("window", window), pool_size)
 
 
-def _collect(
-    outcomes,
-    total: int,
-    progress: Optional[ProgressCallback],
-) -> List[Any]:
-    """Drain ordered outcomes, firing progress and aggregating failures."""
-    results: List[Any] = []
-    failures: List[Tuple[int, str, str]] = []
-    tracer = get_tracer()
-    for index, (ok, value) in enumerate(outcomes):
-        if tracer.enabled:
-            tracer.event("shard.complete", task=index, ok=ok)
-        if ok:
-            results.append(value)
-        else:
-            failures.append(_failure_triple(index, value))
-            results.append(None)
-        if progress is not None:
-            progress(index + 1, total)
-    if failures:
-        raise ShardExecutionError(failures, results)
-    return results
-
-
 class Executor:
     """Protocol for executor backends.
 
-    Subclasses implement :meth:`map`; ``workers`` reports the degree of
-    parallelism (1 for serial).  :meth:`stream` has a default built on
-    :meth:`map` so duck-typed executors keep working; the built-in
-    backends override it to yield completions as futures resolve with a
-    bounded submission window.
+    Subclasses implement :meth:`stream`, the one engine of a backend;
+    :meth:`map` collects it.  ``workers`` reports the degree of
+    parallelism (1 for serial).
 
-    Fault-tolerance knobs (all optional, all ``None`` by default —
-    leaving them off preserves the historical code paths exactly):
+    Fault-tolerance knobs (all optional, all ``None`` by default — one
+    attempt per shard, no deadlines):
 
     ``retry``
         A :class:`~repro.runtime.faults.RetryPolicy`; failed shards
@@ -229,16 +201,6 @@ class Executor:
     #: Pool rebuilds allowed per dispatch before degrading to serial.
     max_respawns: int = 3
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        """Apply ``fn`` to every task, returning results in task order."""
-        raise NotImplementedError
-
     def stream(
         self,
         fn: Callable[[Any], Any],
@@ -250,44 +212,47 @@ class Executor:
 
         Every task runs (failures are yielded as data, never raised),
         and each index appears exactly once — with its *final* outcome
-        when retries are configured.  The built-in backends keep at
-        most ``window`` tasks in flight (default ``2 * workers``), so
-        the number of completed-but-unconsumed results — and hence the
+        when retries are configured.  The pool backends keep at most
+        ``window`` tasks in flight (default ``2 * workers``), so the
+        number of completed-but-unconsumed results — and hence the
         reorder buffer a plan-order consumer needs — is bounded by the
         window, not the task count.
+        """
+        raise NotImplementedError
 
-        This default implementation runs :meth:`map` to completion and
-        replays it in order: correct for any executor that only
-        implements :meth:`map`, but without the memory bound.
+    def map(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: Sequence[Any],
+        *,
+        progress: Optional[ProgressCallback] = None,
+    ) -> List[Any]:
+        """Apply ``fn`` to every task, returning results in task order.
+
+        A collect over :meth:`stream`.  Progress fires once per task on
+        its *final* outcome (never per attempt, so retried shards are
+        not double-counted), in completion order.  Failures are
+        aggregated into one :class:`ShardExecutionError` raised after
+        every task has run.
         """
         tasks = list(tasks)
-        try:
-            results = self.map(fn, tasks)
-        except ShardExecutionError as error:
-            failed = {index: (err, tb) for index, err, tb in error.failures}
-            drained = error.results
-            for index in range(len(tasks)):
-                if index in failed:
-                    yield index, False, failed[index]
-                elif drained is None:
-                    # The executor raised without drained results, so
-                    # this task's outcome is unknown — report it as a
-                    # failure rather than fabricating a None success.
-                    yield index, False, (
-                        "result unavailable: the dispatch aborted before "
-                        "this task's result was drained",
-                        str(error),
-                    )
-                else:
-                    yield index, True, drained[index]
-            return
-        for index, value in enumerate(results):
-            yield index, True, value
+        results: List[Any] = [None] * len(tasks)
+        failures: List[Tuple[int, str, str]] = []
+        done = 0
+        for index, ok, payload in self.stream(fn, tasks):
+            done += 1
+            if ok:
+                results[index] = payload
+            else:
+                failures.append(_failure_triple(index, payload))
+            if progress is not None:
+                progress(done, len(tasks))
+        if failures:
+            failures.sort(key=lambda item: item[0])
+            raise ShardExecutionError(failures, results)
+        return results
 
     # -- fault-tolerance plumbing (shared by the backends) ---------------
-
-    def _fault_tolerant(self) -> bool:
-        return self.retry is not None or self.timeout is not None
 
     def _note_retry(self, index: int, attempt: int, delay: float) -> None:
         """Record one retry in telemetry and toward the caller's tally."""
@@ -381,12 +346,18 @@ class Executor:
         mid-run is worth a warning even though the results (being pure
         functions of the plan) are unaffected."""
         remaining = sorted(set(remaining))
+        deadlines = (
+            ""
+            if self.timeout is None
+            else f"  Per-shard deadlines ({self.timeout:.4g}s) are no "
+            "longer enforced: in-process work cannot be preempted."
+        )
         warnings.warn(
             f"{type(self).__name__} pool is unrecoverable ({reason}); "
             f"running the remaining {len(remaining)} shard task(s) "
             "serially in-process.  Results are unaffected — shards are "
             "deterministic — but parallelism is lost for the rest of "
-            "this dispatch.",
+            f"this dispatch.{deadlines}",
             PoolDegradedWarning,
             stacklevel=3,
         )
@@ -403,35 +374,6 @@ class Executor:
                 fn, tasks[index], index, first_attempt=attempt
             )
 
-    def _map_via_stream(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        progress: Optional[ProgressCallback],
-    ) -> List[Any]:
-        """Batch collection built on the fault-tolerant stream.
-
-        Progress fires once per task on its *final* outcome (never per
-        attempt, so retried shards are not double-counted), in
-        completion order.  Results return in task order regardless.
-        """
-        tasks = list(tasks)
-        results: List[Any] = [None] * len(tasks)
-        failures: List[Tuple[int, str, str]] = []
-        done = 0
-        for index, ok, payload in self.stream(fn, tasks):
-            done += 1
-            if ok:
-                results[index] = payload
-            else:
-                failures.append(_failure_triple(index, payload))
-            if progress is not None:
-                progress(done, len(tasks))
-        if failures:
-            failures.sort(key=lambda item: item[0])
-            raise ShardExecutionError(failures, results)
-        return results
-
 
 class SerialExecutor(Executor):
     """In-process execution: the reference backend and the 1-worker case.
@@ -444,29 +386,6 @@ class SerialExecutor(Executor):
 
     workers = 1
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if self.retry is not None:
-            return self._map_via_stream(fn, tasks, progress)
-        tracer = get_tracer()
-        if tracer.enabled:
-            # Serial "submission" is just starting the task; the event
-            # keeps the submit→complete join uniform across backends.
-            outcomes = (
-                (tracer.event("shard.submit", task=index),
-                 _guarded_call((fn, task)))[1]
-                for index, task in enumerate(tasks)
-            )
-        else:
-            outcomes = (_guarded_call((fn, task)) for task in tasks)
-        return _collect(outcomes, len(tasks), progress)
-
     def stream(
         self,
         fn: Callable[[Any], Any],
@@ -476,19 +395,8 @@ class SerialExecutor(Executor):
     ) -> Iterator[StreamItem]:
         """Serial streaming: tasks complete (and yield) in index order,
         so exactly one result is ever in flight."""
-        tasks = list(tasks)
-        if self.retry is not None:
-            for index, task in enumerate(tasks):
-                yield self._run_with_retries(fn, task, index)
-            return
-        tracer = get_tracer()
-        for index, task in enumerate(tasks):
-            if tracer.enabled:
-                tracer.event("shard.submit", task=index)
-            ok, value = _guarded_call((fn, task))
-            if tracer.enabled:
-                tracer.event("shard.complete", task=index, ok=ok)
-            yield index, ok, value
+        for index, task in enumerate(list(tasks)):
+            yield self._run_with_retries(fn, task, index)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -516,9 +424,9 @@ class MultiprocessingExecutor(Executor):
         platform offers it, else the platform default.  Task functions
         must be module-level either way so ``spawn`` keeps working.
 
-    In fault-tolerant mode (``retry``/``timeout`` set) the streaming
-    path additionally enforces per-shard deadlines and polls worker
-    liveness: an expired or crashed shard terminates the pool (a single
+    The engine enforces per-shard deadlines (when ``timeout`` is set)
+    and polls worker liveness: an expired or crashed shard terminates
+    the pool (a single
     hung worker cannot be killed individually), salvages every
     completion already delivered, respawns the pool, resubmits the
     innocent in-flight shards at no attempt cost, and charges only the
@@ -536,38 +444,6 @@ class MultiprocessingExecutor(Executor):
             start_method = "fork" if "fork" in available else None
         self.start_method = start_method
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self._fault_tolerant():
-            # One engine for both entry points: map rides the
-            # fault-tolerant stream, so retries/timeouts/respawns are
-            # implemented (and tested) once per backend.
-            return self._map_via_stream(fn, tasks, progress)
-        pool_size = min(self.workers, len(tasks))
-        if pool_size == 1:
-            return SerialExecutor().map(fn, tasks, progress=progress)
-        context = multiprocessing.get_context(self.start_method)
-        payloads = [(fn, task) for task in tasks]
-        tracer = get_tracer()
-        if tracer.enabled:
-            # imap hands the whole batch to the pool at once, so every
-            # task is submitted up front.
-            for index in range(len(tasks)):
-                tracer.event("shard.submit", task=index)
-        with context.Pool(pool_size) as pool:
-            # imap (not imap_unordered): order preservation is what
-            # makes merged results independent of the worker count.
-            outcomes = pool.imap(_guarded_call, payloads)
-            return _collect(outcomes, len(tasks), progress)
-
     def stream(
         self,
         fn: Callable[[Any], Any],
@@ -578,8 +454,10 @@ class MultiprocessingExecutor(Executor):
         """Yield completions as worker processes finish, out of order.
 
         Windowed ``apply_async`` submission: a new task ships only when
-        a result is consumed, so at most ``window`` results ever exist
-        between the pool and the consumer.
+        a result is finalized, so at most ``window`` results ever exist
+        between the pool and the consumer.  A worker that dies mid-shard
+        (which never delivers a callback) is caught by the liveness
+        poll and reported as a :class:`WorkerCrashError` failure.
         """
         tasks = list(tasks)
         if not tasks:
@@ -589,71 +467,7 @@ class MultiprocessingExecutor(Executor):
             yield from _serial_clone(self).stream(fn, tasks)
             return
         window = _resolve_window(window, pool_size)
-        if self._fault_tolerant():
-            yield from self._stream_fault_tolerant(
-                fn, tasks, window, pool_size
-            )
-            return
-        completions: "queue.SimpleQueue" = queue.SimpleQueue()
-        context = multiprocessing.get_context(self.start_method)
-        tracer = get_tracer()
-        with context.Pool(pool_size) as pool:
-
-            def submit(index: int) -> None:
-                if tracer.enabled:
-                    tracer.event("shard.submit", task=index)
-                pool.apply_async(
-                    _guarded_call,
-                    ((fn, tasks[index]),),
-                    callback=lambda outcome, index=index: completions.put(
-                        (index, outcome)
-                    ),
-                    # _guarded_call captures task exceptions as data, so
-                    # this only fires on transport failures (e.g. an
-                    # unpicklable result); surface those as shard
-                    # failures too rather than hanging the drain.
-                    error_callback=lambda error, index=index: completions.put(
-                        (index, (False, ShardFailure.from_exception(
-                            error, _format_exception(error)
-                        )))
-                    ),
-                )
-
-            # Submission is gated on the lowest *unyielded* index — the
-            # plan-order cursor a reorder-buffer consumer is waiting on
-            # — not on raw completion count.  If one early shard is
-            # slow, submission stalls at its index + window, so no
-            # more than `window` completions can ever pile up ahead of
-            # the cursor, even under extreme shard-time skew.
-            unyielded: set = set()
-            submitted = 0
-
-            def fill() -> None:
-                nonlocal submitted
-                low = min(unyielded, default=submitted)
-                while submitted < len(tasks) and submitted < low + window:
-                    submit(submitted)
-                    unyielded.add(submitted)
-                    submitted += 1
-
-            fill()
-            for _ in range(len(tasks)):
-                index, (ok, value) = completions.get()
-                if tracer.enabled:
-                    tracer.event("shard.complete", task=index, ok=ok)
-                unyielded.discard(index)
-                fill()
-                yield index, ok, value
-
-    def _stream_fault_tolerant(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-        window: int,
-        pool_size: int,
-    ) -> Iterator[StreamItem]:
-        """The retry/timeout/crash-aware streaming engine."""
-        policy, timeout = self.retry, self.timeout
+        timeout = self.timeout
         tracer = get_tracer()
         metrics = get_metrics()
         context = multiprocessing.get_context(self.start_method)
@@ -687,6 +501,10 @@ class MultiprocessingExecutor(Executor):
                 callback=lambda outcome, index=index: completions.put(
                     (index, outcome)
                 ),
+                # _guarded_call captures task exceptions as data, so
+                # this only fires on transport failures (e.g. an
+                # unpicklable result); surface those as shard failures
+                # too rather than hanging the drain.
                 error_callback=lambda error, index=index: completions.put(
                     (index, (False, ShardFailure.from_exception(
                         error, _format_exception(error)
@@ -694,6 +512,12 @@ class MultiprocessingExecutor(Executor):
                 ),
             )
 
+        # Submission is gated on the lowest *unfinalized* index — the
+        # plan-order cursor a reorder-buffer consumer is waiting on —
+        # not on raw completion count.  If one early shard is slow,
+        # submission stalls at its index + window, so no more than
+        # `window` completions can ever pile up ahead of the cursor,
+        # even under extreme shard-time skew.
         def fill() -> None:
             nonlocal submitted
             low = min(unfinal, default=submitted)
@@ -888,7 +712,7 @@ class ThreadExecutor(Executor):
     workers:
         Pool size.  The pool never exceeds the task count.
 
-    Fault-tolerant mode retries per the policy and enforces per-shard
+    The engine retries per the policy and enforces per-shard
     deadlines by *abandoning* expired futures — threads cannot be
     killed, so a hung thread keeps its pool slot until it returns (its
     late result is discarded).  If every slot ends up hung, the
@@ -898,32 +722,6 @@ class ThreadExecutor(Executor):
 
     def __init__(self, workers: int) -> None:
         self.workers = ensure_positive_int("workers", workers)
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        *,
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self._fault_tolerant():
-            return self._map_via_stream(fn, tasks, progress)
-        pool_size = min(self.workers, len(tasks))
-        if pool_size == 1:
-            return SerialExecutor().map(fn, tasks, progress=progress)
-        payloads = [(fn, task) for task in tasks]
-        tracer = get_tracer()
-        if tracer.enabled:
-            for index in range(len(tasks)):
-                tracer.event("shard.submit", task=index)
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            # Executor.map preserves submission order — the property
-            # that makes merged results independent of the pool size.
-            outcomes = pool.map(_guarded_call, payloads)
-            return _collect(outcomes, len(tasks), progress)
 
     def stream(
         self,
@@ -935,8 +733,8 @@ class ThreadExecutor(Executor):
         """Yield completions as pool threads finish, out of order.
 
         At most ``window`` futures are outstanding at a time — each
-        consumed completion releases the next submission — which bounds
-        completed-but-unconsumed results by the window.
+        finalized completion releases the next submission — which
+        bounds completed-but-unconsumed results by the window.
         """
         tasks = list(tasks)
         if not tasks:
@@ -946,57 +744,6 @@ class ThreadExecutor(Executor):
             yield from _serial_clone(self).stream(fn, tasks)
             return
         window = _resolve_window(window, pool_size)
-        if self._fault_tolerant():
-            yield from self._stream_fault_tolerant(
-                fn, tasks, window, pool_size
-            )
-            return
-        tracer = get_tracer()
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            pending = {}
-            submitted = 0
-
-            # Same gate as the process backend: new submissions stop at
-            # (lowest unyielded index) + window, so completions can
-            # never outrun a plan-order consumer by more than the
-            # window, no matter how skewed the shard durations are.
-            def fill() -> None:
-                nonlocal submitted
-                low = min(pending.values(), default=submitted)
-                while submitted < len(tasks) and submitted < low + window:
-                    if tracer.enabled:
-                        tracer.event("shard.submit", task=submitted)
-                    future = pool.submit(_guarded_call, (fn, tasks[submitted]))
-                    pending[future] = submitted
-                    submitted += 1
-
-            try:
-                fill()
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = pending.pop(future)
-                        ok, value = future.result()
-                        if tracer.enabled:
-                            tracer.event("shard.complete", task=index, ok=ok)
-                        fill()
-                        yield index, ok, value
-            finally:
-                # An abandoned generator (the consumer raised
-                # mid-stream) must not sit through the whole submission
-                # window: cancel everything still queued so the pool's
-                # shutdown only waits for the tasks actually running.
-                for future in pending:
-                    future.cancel()
-
-    def _stream_fault_tolerant(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: List[Any],
-        window: int,
-        pool_size: int,
-    ) -> Iterator[StreamItem]:
-        """The retry/timeout-aware streaming engine (threads)."""
         timeout = self.timeout
         tracer = get_tracer()
         metrics = get_metrics()
@@ -1016,6 +763,9 @@ class ThreadExecutor(Executor):
             deadline = None if timeout is None else time.monotonic() + timeout
             pending[future] = (index, attempt, deadline)
 
+        # Same gate as the process backend: new submissions stop at
+        # (lowest unfinalized index) + window, so completions can never
+        # outrun a plan-order consumer by more than the window.
         def fill() -> None:
             nonlocal submitted
             low = min(unfinal, default=submitted)
@@ -1125,11 +875,15 @@ class ThreadExecutor(Executor):
                             fill()
                             yield outcome
         finally:
+            # An abandoned generator (the consumer raised mid-stream)
+            # must not sit through the whole submission window: cancel
+            # everything still queued.  Without deadlines nothing is
+            # known to hang, so wait for the tasks actually running;
+            # with them, a running task may be hung and must not block
+            # the consumer's exit (it dies with the interpreter).
             for future in pending:
                 future.cancel()
-            # wait=False: hung (abandoned) threads must not block the
-            # consumer's exit; they die with the interpreter.
-            pool.shutdown(wait=False)
+            pool.shutdown(wait=timeout is None)
 
     def __repr__(self) -> str:
         return f"ThreadExecutor(workers={self.workers})"
@@ -1151,9 +905,9 @@ def make_executor(
 
     ``retry`` (a :class:`~repro.runtime.faults.RetryPolicy`, or an int
     shorthand for ``RetryPolicy(max_attempts=n)``) and ``timeout``
-    (per-shard deadline, seconds) opt the executor into fault-tolerant
-    execution; both default to off, which preserves the historical
-    behavior exactly.
+    (per-shard deadline, seconds) configure the engine's retries and
+    deadlines; both default to off — one attempt per shard, no
+    deadline.
     """
     workers = ensure_positive_int("workers", workers)
     if backend not in EXECUTOR_BACKENDS:

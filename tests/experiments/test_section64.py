@@ -48,3 +48,26 @@ class TestSection64:
         assert "Filecoin" in text
         payload = result.to_dict()
         assert payload["Algorand"]["matches_paper"]
+
+
+class TestSection64UnderStats:
+    def test_stats_mode_runs_and_matches_full_equitability(self):
+        # reduce="stats" keeps moments, not samples: equitability must
+        # come from their population variance, matching full mode (at
+        # the same shard plan) to float tolerance.
+        from repro.runtime import ParallelRunner, using_runtime
+
+        config = section64.Section64Config(preset=CI, seed=7)
+        by_mode = {}
+        for mode in ("full", "stats"):
+            with using_runtime(ParallelRunner(workers=1, reduce=mode)):
+                by_mode[mode] = section64.run(config)
+        full, stats = by_mode["full"], by_mode["stats"]
+        assert [r.protocol for r in stats.rows] == [r.protocol for r in full.rows]
+        for got, expected in zip(stats.rows, full.rows):
+            assert got.equitability == pytest.approx(
+                expected.equitability, rel=1e-9, abs=1e-12
+            ), got.protocol
+            assert got.mean_fraction == pytest.approx(
+                expected.mean_fraction, rel=1e-9, abs=1e-12
+            ), got.protocol

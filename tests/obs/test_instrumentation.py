@@ -135,14 +135,22 @@ class TestTracedGridCoverage:
         (root,) = by_name["runner.run_many"]
         assert root["attrs"]["tasks"] == total_tasks
 
-    def test_batch_path_also_covers_every_phase(self):
+    def test_uncached_grid_traces_every_phase(self, hand_merge):
+        # Tracing must not perturb the merged bits: the traced grid
+        # equals merge_parts over hand-run shards.
         specs = make_specs()
         tracer = Tracer()
         with using_tracer(tracer):
-            ParallelRunner(workers=2, stream=False).run_many(specs, shards=4)
+            traced = ParallelRunner(workers=2).run_many(specs, shards=4)
         names = {s["name"] for s in tracer.spans}
         assert {"shard.submit", "shard.run", "shard.complete",
                 "shard.merge", "runner.run_many"} <= names
+        for got, spec in zip(traced, specs):
+            expected = hand_merge(spec, 4)
+            assert (
+                got.reward_fractions.tobytes()
+                == expected.reward_fractions.tobytes()
+            )
 
     def test_naive_kernel_spans_report_naive_mode(self):
         spec = SimulationSpec(

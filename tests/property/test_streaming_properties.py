@@ -1,17 +1,18 @@
 """Property-based tests for the streaming merge machinery.
 
-Three algebraic guarantees behind ``ParallelRunner(stream=True)``:
+Three algebraic guarantees behind the runner's streaming merge:
 
 * **Order restoration** — pushing a dispatch's completions through the
   :class:`ReorderBuffer` in *any* completion order releases them in
   plan order, each exactly once; folding the released sequence through
-  a :class:`MergeAccumulator` is byte-identical to
-  :meth:`EnsembleResult.merge` of the full list.
+  a :class:`MergeAccumulator` is byte-identical to :func:`merge_parts`
+  of the full list (collect-then-merge).
 * **Identity** — an accumulator fed a single shard reproduces that
   shard byte-for-byte.
 * **Associativity** — folding chunk-merged parts equals folding the
-  parts directly equals the batch merge: chunking the fold never
-  changes bits, so any grouping of shards along the way is safe.
+  parts directly equals :func:`merge_parts` of the full list: chunking
+  the fold never changes bits, so any grouping of shards along the way
+  is safe.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.miners import Allocation
-from repro.core.results import EnsembleResult, MergeAccumulator
+from repro.core.results import EnsembleResult, MergeAccumulator, merge_parts
 from repro.runtime import ReorderBuffer
 
 LIGHT_SETTINGS = settings(
@@ -78,7 +79,7 @@ def test_any_completion_order_folds_to_the_batch_merge(sizes, order_seed):
             accumulator.add(part)
     assert buffer.complete
     assert released_indices == list(range(len(parts)))
-    assert_byte_equal(accumulator.result(), EnsembleResult.merge(parts))
+    assert_byte_equal(accumulator.result(), merge_parts(parts))
 
 
 @LIGHT_SETTINGS
@@ -139,8 +140,8 @@ def test_chunked_folds_compose_associatively(sizes, data):
     flat = MergeAccumulator(expected_trials=total)
     for part in parts:
         flat.add(part)
-    # ...and batch-merge everything: all three agree bit-for-bit.
-    reference = EnsembleResult.merge(parts)
+    # ...and merge the collected list: all three agree bit-for-bit.
+    reference = merge_parts(parts)
     assert_byte_equal(chunked.result(), reference)
     assert_byte_equal(flat.result(), reference)
 

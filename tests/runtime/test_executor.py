@@ -233,41 +233,12 @@ class TestStream:
             items = list(executor.stream(square, [5]))
             assert items == [(0, True, 25)]
 
-    def test_base_class_fallback_replays_map(self):
-        class MapOnly(Executor):
-            def map(self, fn, tasks, *, progress=None):
-                return [fn(task) for task in tasks]
-
-        items = list(MapOnly().stream(square, [1, 2, 3]))
-        assert items == [(0, True, 1), (1, True, 4), (2, True, 9)]
-
-    def test_base_class_fallback_replays_aggregated_failures(self):
-        class MapOnly(Executor):
-            def map(self, fn, tasks, *, progress=None):
-                return SerialExecutor().map(fn, tasks, progress=progress)
-
-        items = list(MapOnly().stream(fail_on_odd, [0, 1, 2]))
-        assert [index for index, _, _ in items] == [0, 1, 2]
-        assert [ok for _, ok, _ in items] == [True, False, True]
-        assert "odd input 1" in items[1][2][0]
-
-    def test_base_class_fallback_without_drained_results_yields_no_successes(
-        self,
-    ):
-        # A map() that raises ShardExecutionError without the optional
-        # drained results leaves the non-failed outcomes unknown; the
-        # fallback must report them as failures, never as successful
-        # None results (which would crash the streaming fold instead
-        # of propagating a ShardExecutionError).
-        class AbortingMap(Executor):
-            def map(self, fn, tasks, *, progress=None):
-                raise ShardExecutionError([(1, "ValueError('odd')", "tb")])
-
-        items = list(AbortingMap().stream(fail_on_odd, [0, 1, 2]))
-        assert [ok for _, ok, _ in items] == [False, False, False]
-        assert "odd" in items[1][2][0]
-        assert "result unavailable" in items[0][2][0]
-        assert "result unavailable" in items[2][2][0]
+    def test_base_class_requires_a_stream_engine(self):
+        # Subclasses implement stream() only; the base map() collects
+        # it, and there is no map-replay fallback to hide a missing
+        # engine.
+        with pytest.raises(NotImplementedError):
+            Executor().map(square, [1, 2, 3])
 
 
 class TestMakeExecutor:

@@ -8,13 +8,19 @@ the stream/ReorderBuffer failure-path contract the streaming merge
 relies on: each index yielded exactly once with its *final* outcome.
 """
 
+import json
 import os
 import pathlib
 import pickle
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
+import repro
 from repro.runtime import ReorderBuffer
 from repro.runtime.executor import (
     MultiprocessingExecutor,
@@ -108,16 +114,54 @@ class FailHead:
         return x * x
 
 
-class HangAll:
-    """Every task's first attempt stalls (to wedge every pool slot)."""
+class HangInPoolThreads:
+    """Every attempt on a pool thread blocks until ``release`` is set
+    (wedging every slot); attempts on the main thread — the degraded
+    serial path — run clean."""
 
-    def __init__(self, root):
-        self.root = str(root)
+    def __init__(self):
+        self.release = threading.Event()
 
     def __call__(self, x):
-        if _claim(self.root, x) == 1:
-            time.sleep(30.0)
+        if threading.current_thread() is not threading.main_thread():
+            self.release.wait()
         return x * x
+
+
+#: Runs in a fresh interpreter: a worker that dies mid-shard never
+#: delivers a pool callback, and an engine that misses it blocks in an
+#: uninterruptible queue read — only a process-level deadline can turn
+#: that hang into a test failure.
+CRASH_PROBE = """
+import json
+import os
+
+from repro.runtime.executor import MultiprocessingExecutor, ShardExecutionError
+
+
+def crash_on_two(x):
+    if x == 2:
+        os._exit(41)
+    return x * x
+
+
+if __name__ == "__main__":
+    executor = MultiprocessingExecutor(2)
+    streamed = [
+        [index, ok, payload if ok else payload[0]]
+        for index, ok, payload in executor.stream(crash_on_two, range(6))
+    ]
+    try:
+        executor.map(crash_on_two, range(6))
+        failures = None
+    except ShardExecutionError as error:
+        failures = [[index, message] for index, message, _ in error.failures]
+    print(json.dumps({"stream": streamed, "map": failures}))
+"""
+
+#: Seconds the crash probe may take before it counts as hung (a clean
+#: run takes about one second).
+CRASH_PROBE_DEADLINE = 30.0
 
 
 def square(x):
@@ -346,13 +390,66 @@ class TestTimeoutsAndCrashes:
         # timeout classification and completes in-process.
         assert results == [0, 1, 4, 9]
 
-    def test_all_threads_hung_degrades_to_serial(self, tmp_path):
+    def test_all_threads_hung_degrades_to_serial(self):
         executor = ThreadExecutor(2)
         executor.retry = FAST
         executor.timeout = 0.2
-        with pytest.warns(PoolDegradedWarning):
-            results = executor.map(HangAll(tmp_path), [0, 1, 2, 3])
+        hang = HangInPoolThreads()
+        try:
+            with pytest.warns(
+                PoolDegradedWarning,
+                match=r"deadlines \(0\.2s\) are no longer enforced",
+            ):
+                results = executor.map(hang, [0, 1, 2, 3])
+        finally:
+            hang.release.set()  # let the abandoned pool threads exit
         assert results == [0, 1, 4, 9]
+
+    def test_process_crash_without_policy_is_reported_not_hung(
+        self, tmp_path
+    ):
+        # No retry policy and no timeout: the crashed shard must still
+        # come back as a WorkerCrashError failure, not hang the stream.
+        script = tmp_path / "crash_probe.py"
+        script.write_text(CRASH_PROBE)
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        probe = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = probe.communicate(timeout=CRASH_PROBE_DEADLINE)
+        except subprocess.TimeoutExpired:
+            os.killpg(probe.pid, signal.SIGKILL)  # the probe and its pool
+            probe.communicate()
+            pytest.fail(
+                "a worker crash with no retry policy hung the process "
+                f"stream: deadline of {CRASH_PROBE_DEADLINE:.0f}s exceeded"
+            )
+        assert probe.returncode == 0, err
+        report = json.loads(out)
+        streamed = {index: (ok, value) for index, ok, value in report["stream"]}
+        assert sorted(streamed) == list(range(6))
+        assert len(report["stream"]) == 6  # each index exactly once
+        ok, error = streamed[2]
+        assert not ok and "WorkerCrashError" in error
+        for index, (ok, value) in streamed.items():
+            # Shards in flight beside the crash are suspects too (the
+            # victim is unknowable); everything else succeeds.
+            if ok:
+                assert value == index * index
+            else:
+                assert "WorkerCrashError" in value
+        failures = dict(report["map"])
+        assert "WorkerCrashError" in failures[2]
 
 
 class TestStreamReorderContract:

@@ -107,25 +107,23 @@ class TestGoldenSimulation:
         assert_matches_full_reduction(stats, full)
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_every_backend_bit_identical_to_serial(self, workers, backend):
+    def test_every_backend_bit_identical_to_serial(
+        self, workers, backend, hand_merge
+    ):
         specs = [
             make_spec(seed=1),
             make_spec(protocol=ProofOfWork(0.01), seed=2),
             make_spec(trials=17, seed=3),  # uneven split across 4 shards
         ]
-        reference = ParallelRunner(workers=1, stream=False).run_many(
-            specs, shards=4
-        )
-        runner = ParallelRunner(workers=workers, backend=backend, stream=True)
+        runner = ParallelRunner(workers=workers, backend=backend)
         streamed = runner.run_many(specs, shards=4)
-        for got, expected in zip(streamed, reference):
-            assert_stats_byte_equal(got, expected)
+        for got, spec in zip(streamed, specs):
+            assert_stats_byte_equal(got, hand_merge(spec, 4))
 
-    def test_streamed_fold_equals_batch_merge(self):
+    def test_streamed_fold_equals_batch_merge(self, hand_merge):
         spec = make_spec(seed=5)
-        streamed = ParallelRunner(workers=1, stream=True).run(spec, shards=3)
-        batch = ParallelRunner(workers=1, stream=False).run(spec, shards=3)
-        assert_stats_byte_equal(streamed, batch)
+        streamed = ParallelRunner(workers=1).run(spec, shards=3)
+        assert_stats_byte_equal(streamed, hand_merge(spec, 3))
 
     def test_no_terminal_stakes(self):
         spec = make_spec(seed=9, record_terminal_stakes=False)

@@ -1,11 +1,13 @@
-"""Differential tests: the streaming merge vs the batch merge.
+"""Differential tests: the runner's streaming merge vs collect-then-merge.
 
-The streaming path (``ParallelRunner(stream=True)``, the default) must
-be *bit-identical* to the original collect-then-merge path for every
-protocol, on every executor backend, through the cache, and across
-failures — these tests pin that contract.  The perf-marked memory test
-asserts the point of the exercise: peak working-set stays near one
-merged ensemble instead of two.
+The runner folds shard results as they complete.  It must be
+*bit-identical* to the reference it replaces — every shard of the plan
+run by hand and ``merge_parts`` over the collected list (the
+``hand_merge`` fixture) — for every protocol, on every executor
+backend, through the cache, and across failures; these tests pin that
+contract.  The perf-marked memory test asserts the point of the
+exercise: peak working-set stays near one merged ensemble instead of
+two.
 """
 
 import gc
@@ -20,9 +22,11 @@ from repro.experiments._common import build_protocol
 from repro.protocols import MultiLotteryPoS, ProofOfWork
 from repro.runtime import (
     ParallelRunner,
+    ResultCache,
     ShardExecutionError,
     SimulationSpec,
     SystemSpec,
+    spec_fingerprint,
 )
 
 ALL_PROTOCOLS = ("PoW", "ML-PoS", "SL-PoS", "C-PoS", "FSL-PoS")
@@ -62,41 +66,28 @@ def assert_byte_equal(streamed, batch):
 
 class TestGoldenSimulation:
     @pytest.mark.parametrize("name", ALL_PROTOCOLS)
-    def test_every_protocol_bit_identical(self, name):
+    def test_every_protocol_bit_identical(self, name, hand_merge):
         spec = make_spec(protocol=build_protocol(name, reward=0.01), seed=11)
-        batch = ParallelRunner(workers=1, stream=False).run(spec, shards=4)
-        streamed = ParallelRunner(workers=1, stream=True).run(spec, shards=4)
-        assert_byte_equal(streamed, batch)
+        streamed = ParallelRunner(workers=1).run(spec, shards=4)
+        assert_byte_equal(streamed, hand_merge(spec, 4))
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_every_backend_bit_identical(self, workers, backend):
+    def test_every_backend_bit_identical(self, workers, backend, hand_merge):
         specs = [
             make_spec(seed=1),
             make_spec(protocol=ProofOfWork(0.01), seed=2),
             make_spec(trials=17, seed=3),  # uneven split across 4 shards
         ]
-        batch = ParallelRunner(workers=1, stream=False).run_many(
-            specs, shards=4
-        )
-        runner = ParallelRunner(workers=workers, backend=backend, stream=True)
+        runner = ParallelRunner(workers=workers, backend=backend)
         streamed = runner.run_many(specs, shards=4)
-        for got, expected in zip(streamed, batch):
-            assert_byte_equal(got, expected)
+        for got, spec in zip(streamed, specs):
+            assert_byte_equal(got, hand_merge(spec, 4))
 
-    def test_per_call_override_beats_runner_default(self):
-        spec = make_spec(seed=5)
-        runner = ParallelRunner(workers=1, stream=False)
-        assert_byte_equal(
-            runner.run(spec, shards=3, stream=True),
-            runner.run(spec, shards=3, stream=False),
-        )
-
-    def test_no_terminal_stakes_streams_identically(self):
+    def test_no_terminal_stakes_streams_identically(self, hand_merge):
         spec = make_spec(seed=9, record_terminal_stakes=False)
-        batch = ParallelRunner(workers=1, stream=False).run(spec, shards=3)
-        streamed = ParallelRunner(workers=1, stream=True).run(spec, shards=3)
+        streamed = ParallelRunner(workers=1).run(spec, shards=3)
         assert streamed.terminal_stakes is None
-        assert_byte_equal(streamed, batch)
+        assert_byte_equal(streamed, hand_merge(spec, 3))
 
 
 class TestGoldenSystem:
@@ -112,15 +103,14 @@ class TestGoldenSystem:
         ]
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_system_grid_bit_identical(self, two_miners, workers, backend):
+    def test_system_grid_bit_identical(
+        self, two_miners, workers, backend, hand_merge
+    ):
         specs = self.sweep(two_miners)
-        batch = ParallelRunner(workers=1, stream=False).run_system_many(
-            specs, shards=2
-        )
-        runner = ParallelRunner(workers=workers, backend=backend, stream=True)
+        runner = ParallelRunner(workers=workers, backend=backend)
         streamed = runner.run_system_many(specs, shards=2)
-        for got, expected in zip(streamed, batch):
-            assert_byte_equal(got, expected)
+        for got, spec in zip(streamed, specs):
+            assert_byte_equal(got, hand_merge(spec, 2))
 
 
 class TestGoldenCache:
@@ -132,51 +122,47 @@ class TestGoldenCache:
         ]
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)
-    def test_mixed_cached_uncached_grid(self, tmp_path, workers, backend):
-        # Warm one cell, then run the grid streaming: the warm cell
-        # loads, the cold cells stream-fold, and every artifact (and
-        # counter) matches the batch path exactly.
+    def test_mixed_cached_uncached_grid(
+        self, tmp_path, workers, backend, hand_merge
+    ):
+        # Warm one cell, then run the grid: the warm cell loads, the
+        # cold cells stream-fold, and every artifact (and counter)
+        # matches the hand-merged reference exactly.
         cache = tmp_path / f"cache-{workers}-{backend}"
-        warm = ParallelRunner(workers=1, cache=cache, stream=False)
+        warm = ParallelRunner(workers=1, cache=cache)
         warm.run(self.grid()[1], shards=4)
 
-        runner = ParallelRunner(
-            workers=workers, backend=backend, cache=cache, stream=True
-        )
+        runner = ParallelRunner(workers=workers, backend=backend, cache=cache)
         streamed = runner.run_many(self.grid(), shards=4)
         assert runner.cache.hits == 1
-        batch = ParallelRunner(workers=1, stream=False).run_many(
-            self.grid(), shards=4
-        )
-        for got, expected in zip(streamed, batch):
-            assert_byte_equal(got, expected)
+        for got, spec in zip(streamed, self.grid()):
+            assert_byte_equal(got, hand_merge(spec, 4))
         # The streamed run populated the cache for the misses too.
         rerun = ParallelRunner(workers=1, cache=cache)
         rerun.run_many(self.grid(), shards=4)
         assert rerun.cache.hits == 3
 
-    def test_stream_and_batch_share_cache_entries(self, tmp_path):
-        # Same fingerprints, byte-identical artifacts: a batch-written
-        # entry answers a streaming run and vice versa.
+    def test_stream_and_batch_share_cache_entries(self, tmp_path, hand_merge):
+        # Same fingerprint, byte-identical artifact: the hand-merged
+        # reference stored under the spec's key answers a streaming
+        # run, and a cold streaming run stores exactly that artifact.
         spec = make_spec(seed=21)
-        batch_runner = ParallelRunner(
-            workers=1, cache=tmp_path / "c", stream=False
-        )
-        cold = batch_runner.run(spec, shards=4)
-        stream_runner = ParallelRunner(
-            workers=1, cache=tmp_path / "c", stream=True
-        )
-        warm = stream_runner.run(spec, shards=4)
-        assert stream_runner.cache.hits == 1
-        assert len(stream_runner.cache) == 1
-        assert_byte_equal(warm, cold)
+        key = spec_fingerprint(spec, shards=4)
+        reference = hand_merge(spec, 4)
+        ResultCache(tmp_path / "seeded").put(key, reference)
+        warm_runner = ParallelRunner(workers=1, cache=tmp_path / "seeded")
+        warm = warm_runner.run(spec, shards=4)
+        assert warm_runner.cache.hits == 1
+        assert len(warm_runner.cache) == 1
+        assert_byte_equal(warm, reference)
+        ParallelRunner(workers=1, cache=tmp_path / "cold").run(spec, shards=4)
+        assert_byte_equal(ResultCache(tmp_path / "cold").get(key), reference)
 
     def test_duplicate_specs_compute_once_streaming(self, tmp_path):
         seen = []
         runner = ParallelRunner(
             workers=1,
             cache=tmp_path,
-            stream=True,
             progress=lambda done, total: seen.append(total),
         )
         a, b = runner.run_many(
@@ -206,14 +192,9 @@ class TestFailureSalvageParity:
         bad = SystemSpec(_ExplodingExperiment(), 30, 4, seed=4)
         return good, bad
 
-    @pytest.mark.parametrize("stream", [True, False], ids=["stream", "batch"])
-    def test_completed_specs_cached_despite_failure(
-        self, tmp_path, two_miners, stream
-    ):
+    def test_completed_specs_cached_despite_failure(self, tmp_path, two_miners):
         good, bad = self.specs(two_miners)
-        runner = ParallelRunner(
-            workers=1, cache=tmp_path / ("s" if stream else "b"), stream=stream
-        )
+        runner = ParallelRunner(workers=1, cache=tmp_path)
         with pytest.raises(ShardExecutionError, match="boom"):
             runner.run_system_many([good, bad], shards=2)
         rerun = ParallelRunner(workers=1, cache=runner.cache.directory)
@@ -221,34 +202,26 @@ class TestFailureSalvageParity:
         assert rerun.cache.hits == 1
 
     def test_stream_and_batch_salvage_identical_entries(
-        self, tmp_path, two_miners
+        self, tmp_path, two_miners, hand_merge
     ):
+        # The salvage leaves exactly the good spec's entry behind, and
+        # it holds the hand-merged reference for that spec.
         good, bad = self.specs(two_miners)
-        entries = {}
-        for label, stream in (("stream", True), ("batch", False)):
-            runner = ParallelRunner(
-                workers=1, cache=tmp_path / label, stream=stream
-            )
-            with pytest.raises(ShardExecutionError):
-                runner.run_system_many([good, bad], shards=2)
-            entries[label] = sorted(
-                p.name for p in runner.cache.directory.glob("*.npz")
-            )
-        assert entries["stream"] == entries["batch"]
-        assert len(entries["stream"]) == 1
+        runner = ParallelRunner(workers=1, cache=tmp_path)
+        with pytest.raises(ShardExecutionError):
+            runner.run_system_many([good, bad], shards=2)
+        key = spec_fingerprint(good, shards=2)
+        entries = sorted(p.name for p in runner.cache.directory.glob("*.npz"))
+        assert entries == [f"{key}.npz"]
+        assert_byte_equal(runner.cache.get(key), hand_merge(good, 2))
 
     def test_failure_indices_match_batch_path(self, two_miners):
+        # Dispatch task indices: the good spec's two shards are 0-1,
+        # the bad spec's are 2-3 — and only those are reported.
         good, bad = self.specs(two_miners)
-        collected = {}
-        for label, stream in (("stream", True), ("batch", False)):
-            with pytest.raises(ShardExecutionError) as excinfo:
-                ParallelRunner(workers=1, stream=stream).run_system_many(
-                    [good, bad], shards=2
-                )
-            collected[label] = [
-                index for index, _, _ in excinfo.value.failures
-            ]
-        assert collected["stream"] == collected["batch"] == [2, 3]
+        with pytest.raises(ShardExecutionError) as excinfo:
+            ParallelRunner(workers=1).run_system_many([good, bad], shards=2)
+        assert [index for index, _, _ in excinfo.value.failures] == [2, 3]
 
 
 class TestProgressCountsMergedShards:
@@ -256,7 +229,6 @@ class TestProgressCountsMergedShards:
         seen = []
         runner = ParallelRunner(
             workers=1,
-            stream=True,
             progress=lambda done, total: seen.append((done, total)),
         )
         runner.run_many([make_spec(seed=1), make_spec(seed=2)], shards=3)
@@ -274,7 +246,6 @@ class TestProgressCountsMergedShards:
         runner = ParallelRunner(
             workers=workers,
             backend=backend,
-            stream=True,
             progress=lambda done, total: seen.append((done, total)),
         )
         with pytest.raises(ShardExecutionError):
@@ -293,7 +264,6 @@ class TestProgressCountsMergedShards:
         warm = ParallelRunner(
             workers=1,
             cache=tmp_path,
-            stream=True,
             progress=lambda done, total: seen.append((done, total)),
         )
         warm.run_many(specs, shards=2)
@@ -314,7 +284,7 @@ class TestStreamContractGuard:
                         continue  # silently lose task 1
                     yield item
 
-        runner = ParallelRunner(executor=DroppingExecutor(), stream=True)
+        runner = ParallelRunner(executor=DroppingExecutor())
         with pytest.raises(RuntimeError, match="yielded 2 of 3 tasks"):
             runner.run(make_spec(seed=4), shards=3)
 
@@ -335,8 +305,9 @@ def _peak_bytes(fn):
 class TestStreamingPeakMemory:
     """The memory contract: streaming peaks near ONE merged ensemble.
 
-    The batch path materializes every shard result and then
-    concatenates — ~2x the merged footprint before per-shard overheads.
+    Collect-then-merge (the ``hand_merge`` reference) materializes every
+    shard result and then concatenates — ~2x the merged footprint
+    before per-shard overheads.
     Streaming preallocates the merged arrays once and folds shards as
     they land, so its peak must stay below a small multiple of the
     final artifact and roughly flat as the shard count grows.
@@ -360,25 +331,21 @@ class TestStreamingPeakMemory:
             self.TRIALS * len(self.CHECKPOINTS) * 2 * 8 + self.TRIALS * 2 * 8
         )
 
-    def test_streaming_peaks_below_batch_and_near_one_ensemble(self):
+    def test_streaming_peaks_below_batch_and_near_one_ensemble(
+        self, hand_merge
+    ):
         spec = self.spec()
-        batch_peak = _peak_bytes(
-            lambda: ParallelRunner(workers=1, stream=False).run(
-                spec, shards=self.SHARDS
-            )
-        )
+        batch_peak = _peak_bytes(lambda: hand_merge(spec, self.SHARDS))
         stream_peak = _peak_bytes(
-            lambda: ParallelRunner(workers=1, stream=True).run(
-                spec, shards=self.SHARDS
-            )
+            lambda: ParallelRunner(workers=1).run(spec, shards=self.SHARDS)
         )
         # Strictly cheaper than collect-then-merge...
         assert stream_peak < batch_peak * 0.85, (stream_peak, batch_peak)
         # ...and within a small multiple of the inherent output size:
         # the accumulated arrays (adopted without a validating re-clip
         # copy) plus one in-flight shard and simulation scratch —
-        # ~1.3x measured at 16 shards.  The batch path holds the full
-        # shard result list plus the concatenate+clip copies (~3x).
+        # ~1.3x measured at 16 shards.  Collect-then-merge holds the
+        # full shard result list plus the concatenate+clip copies (~3x).
         assert stream_peak < self.merged_nbytes() * 2.0, (
             stream_peak,
             self.merged_nbytes(),
@@ -388,9 +355,9 @@ class TestStreamingPeakMemory:
         spec = self.spec()
         peaks = {
             shards: _peak_bytes(
-                lambda shards=shards: ParallelRunner(
-                    workers=1, stream=True
-                ).run(spec, shards=shards)
+                lambda shards=shards: ParallelRunner(workers=1).run(
+                    spec, shards=shards
+                )
             )
             for shards in (4, 16, 64)
         }
