@@ -48,7 +48,7 @@ from repro.core.miners import Allocation
 from repro.core.results import merge_parts
 from repro.protocols import MultiLotteryPoS
 from repro.runtime import ParallelRunner, SimulationSpec, plan_shards
-from repro.runtime.runner import _run_simulation_shard
+from repro.runtime.runner import _simulation_shard_body
 
 SEED = 2021
 DEFAULT_TRIALS = 100_000
@@ -86,7 +86,7 @@ def collect_then_merge(spec: SimulationSpec, shards: int):
     plan with the runner's own shard function, hold the whole result
     list, then merge it."""
     plan = plan_shards(spec.trials, spec.seed_sequence, shards)
-    return merge_parts([_run_simulation_shard((spec, shard)) for shard in plan])
+    return merge_parts([_simulation_shard_body(spec, shard) for shard in plan])
 
 
 def measure(

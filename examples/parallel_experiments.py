@@ -334,7 +334,7 @@ def main() -> None:
         mode["calls"] for mode in summary["kernel"].values()
     )
     print(f"traced rerun of the 5-cell grid: {len(tracer)} spans, "
-          f"{shards['completed']} shards "
+          f"{shards['completed']} tasks (fused shard groups) "
           f"(queue-wait p90 {shards['queue_wait']['p90'] * 1e3:.1f}ms, "
           f"merge-lag p90 {shards['merge_lag']['p90'] * 1e3:.1f}ms), "
           f"{kernel_calls} kernel calls, "

@@ -133,11 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="retry each failed shard up to N total attempts with "
+        help="retry each failed task up to N total attempts with "
         "exponential backoff (transient failures only: worker "
-        "timeouts, crashes, broken pools, I/O errors).  Shards are "
-        "idempotent pure functions of the plan, so retried runs stay "
-        "bit-identical and retry knobs never enter cache keys.  "
+        "timeouts, crashes, broken pools, I/O errors).  A task is a "
+        "fused group of one cell's shards, retried as a whole.  Shards "
+        "are idempotent pure functions of the plan, so retried runs "
+        "stay bit-identical and retry knobs never enter cache keys.  "
         "Requires --workers > 1 or --cache",
     )
     parser.add_argument(
@@ -145,10 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-shard deadline: a worker that exceeds it is "
-        "abandoned (threads) or its pool respawned (processes) and "
-        "the shard counted as a transient failure, retryable under "
-        "--retries.  Requires --workers > 1 or --cache",
+        help="per-task deadline, where a task is a fused group of one "
+        "cell's shards: a worker that exceeds it is abandoned "
+        "(threads) or its pool respawned (processes) and the task "
+        "counted as a transient failure, retryable under --retries.  "
+        "Requires --workers > 1 or --cache",
     )
     parser.add_argument(
         "--resume",

@@ -1,10 +1,10 @@
 """End-of-run telemetry reporting and the ``repro-trace`` CLI.
 
 :func:`summarize_spans` turns a span list into the numbers the paper's
-perf story cares about: per-shard wall time, queue wait (submit →
-worker start) and merge lag (worker complete → folded into the
-accumulator) percentiles, cache hit/miss/eviction traffic, and the
-kernel-vs-naive time split.  :func:`render_summary` prints it as an
+perf story cares about: per-task wall time (a task is one fused group
+of shards), queue wait (submit → worker start) and merge lag (worker
+complete → folded into the accumulator) percentiles, cache
+hit/miss/eviction traffic, and the kernel-vs-naive time split.  :func:`render_summary` prints it as an
 aligned table; ``repro-trace summarize PATH`` does both from a trace
 file, and ``--check`` validates the JSONL schema (the CI trace-smoke
 step runs exactly that).

@@ -6,17 +6,22 @@ or a system experiment (node-level repeats) it
 
 1. checks the content-addressed cache for a previous merged result,
 2. splits the work into a worker-count-independent shard plan,
-3. executes the shards on the configured backend, and
-4. merges shard results in plan order as they stream in: each shard
-   folds into a :class:`~repro.core.results.MergeAccumulator` the
-   moment it clears the :class:`ReorderBuffer`, so at most
-   ``O(workers)`` shard results are in flight instead of
-   ``O(shards)``, and the merged ensemble is byte-identical to
+3. executes the shards on the configured backend — each task is a
+   *fused group* of contiguous shards of one spec, stacked into one
+   state and advanced by one kernel call per segment, with every
+   shard keeping its own generator and rows — and
+4. merges shard results in plan order as they stream in: each task's
+   per-shard parts fold into a
+   :class:`~repro.core.results.MergeAccumulator` the moment the task
+   clears the :class:`ReorderBuffer`, so at most ``O(workers)`` task
+   results are in flight instead of ``O(shards)``, and the merged
+   ensemble is byte-identical to
    :func:`~repro.core.results.merge_parts` over the full shard list.
 
-Because the plan and the merge order are independent of the executor,
-``workers=1`` and ``workers=8`` produce bit-identical merged arrays
-for the same spec and shard count.
+Because the plan and the merge order are independent of the executor
+(grouping only decides which shards share a task; a shard's bits are
+the same in any group), ``workers=1`` and ``workers=8`` produce
+bit-identical merged arrays for the same spec and shard count.
 
 Grids of specs (the per-``(a, w, v)`` cells of the paper's figure
 sweeps) go through :meth:`ParallelRunner.run_many` /
@@ -46,10 +51,12 @@ from typing import (
 
 from .._validation import ensure_positive_int
 from ..core.results import EnsembleResult, MergeAccumulator, merge_parts
-from ..core.stats import ensure_reduce_mode
+from ..core.stats import DEFAULT_BINS, ensure_reduce_mode
 from ..obs import ShardEnvelope, ingest_envelope
 from ..obs.metrics import MetricsRegistry, get_metrics, using_worker_metrics
 from ..obs.trace import Tracer, get_tracer, using_worker_tracer
+from ..sim.checkpoints import linear_checkpoints
+from ..sim.kernels import GROUP_MAX_PART_BYTES, GROUP_MAX_ROWS
 from ..sim.rng import RandomSource, SeedLike
 from .cache import ResultCache
 from .executor import (
@@ -62,7 +69,14 @@ from .executor import (
 )
 from .faults import RetryPolicy
 from .journal import RunJournal, shard_fingerprint
-from .sharding import DEFAULT_SHARD_COUNT, Shard, plan_shards
+from .sharding import (
+    DEFAULT_SHARD_COUNT,
+    Shard,
+    ShardPlan,
+    plan_shards,
+    pristine_sequence,
+    split_evenly,
+)
 from .spec import SimulationSpec, SystemSpec, spec_fingerprint
 
 __all__ = ["ParallelRunner", "ReorderBuffer"]
@@ -133,26 +147,83 @@ class ReorderBuffer:
 
 
 class _Pending(NamedTuple):
-    """One uncached spec of a dispatch: where its dispatched shards live
-    in the task list, which plan ordinals they map to, and where its
-    merged result goes.  With a journal, shards recovered from a prior
-    (interrupted) run ride along as ``preloaded`` and are *not*
-    dispatched — ``ordinals`` maps each dispatched task offset back to
-    its plan ordinal so the merge interleaves both sources in plan
-    order."""
+    """One uncached spec of a dispatch: which tasks carry its shards,
+    which plan ordinals each task runs, and where its merged result
+    goes.  With a journal, shards recovered from a prior (interrupted)
+    run ride along as ``preloaded`` and are *not* dispatched — the
+    merge interleaves both sources in plan order."""
 
     position: int  # slot in the caller's result list
     key: Optional[str]  # cache fingerprint, None when caching is off
-    start: int  # first task index of this spec's dispatched shards
-    count: int  # number of dispatched shards
+    start: int  # first task index of this spec's groups
+    groups: Tuple[Tuple[int, ...], ...]  # per task: the ordinals it runs
     trials: int  # total trials across the shards (the plan total)
-    shards: int  # total shards in the plan (count + preloaded)
-    ordinals: Tuple[int, ...]  # dispatched offset -> plan ordinal
+    shards: int  # total shards in the plan (dispatched + preloaded)
     preloaded: Tuple[Tuple[int, Any], ...]  # (ordinal, result) recovered
 
 
-def _traced_shard(body, spec, shard, index: int, kind: str) -> ShardEnvelope:
-    """Run one shard under a fresh worker-local tracer and registry.
+def _error_triple(index: int, error: Exception) -> Tuple[int, str, str]:
+    """A ``failures`` triple for an error raised in the parent."""
+    return index, repr(error), _format_exception(error)
+
+
+def _estimated_part_bytes(spec: SimulationSpec, rows: int) -> int:
+    """Rough bytes of one shard result of ``rows`` trials of ``spec``."""
+    checkpoints = len(
+        spec.checkpoints
+        if spec.checkpoints is not None
+        else linear_checkpoints(spec.horizon)
+    )
+    miners = spec.allocation.size
+    if spec.reduce == "stats":
+        # Per-checkpoint histograms dominate, whatever the row count.
+        return checkpoints * miners * (DEFAULT_BINS + 4) * 8
+    return rows * checkpoints * miners * 8
+
+
+def _pack_groups(
+    spec: SimulationSpec,
+    shard_list: Sequence[Shard],
+    ordinals: Sequence[int],
+    least: int,
+) -> List[Tuple[int, ...]]:
+    """Split a spec's dispatched ordinals into contiguous fused groups.
+
+    At least ``least`` groups (so a lone spec still feeds every
+    worker), and as many more as keep each group within
+    :data:`~repro.sim.kernels.GROUP_MAX_ROWS` trial rows and
+    :data:`~repro.sim.kernels.GROUP_MAX_PART_BYTES` of estimated
+    results.  Grouping never changes a shard's bits, only how many
+    shards one task runs.
+    """
+    rows = [shard_list[o].trials for o in ordinals]
+    sizes = [_estimated_part_bytes(spec, r) for r in rows]
+    count = max(
+        least,
+        -(-sum(rows) // GROUP_MAX_ROWS),
+        -(-sum(sizes) // GROUP_MAX_PART_BYTES),
+    )
+    while True:
+        count = min(count, len(ordinals))
+        groups: List[Tuple[int, ...]] = []
+        fits = True
+        cut = 0
+        for length in split_evenly(len(ordinals), count):
+            span = slice(cut, cut + length)
+            cut += length
+            groups.append(tuple(ordinals[span]))
+            if length > 1 and (
+                sum(rows[span]) > GROUP_MAX_ROWS
+                or sum(sizes[span]) > GROUP_MAX_PART_BYTES
+            ):
+                fits = False
+        if fits:
+            return groups
+        count += 1
+
+
+def _traced_group(body, spec, shards, index: int, kind: str) -> ShardEnvelope:
+    """Run one task under a fresh worker-local tracer and registry.
 
     The worker must not record into a forked copy of the parent's
     tracer (its buffer dies with the child) nor — on the threads
@@ -167,26 +238,37 @@ def _traced_shard(body, spec, shard, index: int, kind: str) -> ShardEnvelope:
         with tracer.span(
             "shard.run",
             task=index,
-            shard=shard.index,
-            trials=shard.trials,
+            shard=shards[0].index,
+            shards=len(shards),
+            trials=sum(shard.trials for shard in shards),
             kind=kind,
         ):
-            payload = body(spec, shard)
+            payload = body(spec, shards)
     return ShardEnvelope(payload, tracer.drain(), metrics.snapshot())
 
 
 def _simulation_shard_body(spec: SimulationSpec, shard: Shard):
+    """One shard's result, exactly as its group would produce it."""
+    return _simulation_group_body(spec, (shard,))[0]
+
+
+def _simulation_group_body(spec: SimulationSpec, shards: Sequence[Shard]):
     from ..sim.engine import MonteCarloEngine
 
+    # Each shard seeds from a pristine copy of its sequence: spawning
+    # mutates a SeedSequence, and a retried or re-run shard must draw
+    # exactly what its first attempt drew.
     engine = MonteCarloEngine(
         spec.protocol,
         spec.allocation,
-        trials=shard.trials,
-        seed=RandomSource(shard.seed),
         kernel=spec.kernel,
+        blocks=[
+            (shard.trials, RandomSource(pristine_sequence(shard.seed)))
+            for shard in shards
+        ],
     )
-    # Under reduce="stats" the engine folds checkpoints straight into a
-    # StatsSummary — the shard's trajectory cube is never allocated.
+    # Under reduce="stats" the engine folds checkpoints straight into
+    # one StatsSummary per shard — no trajectory cube is allocated.
     return engine.run(
         spec.horizon,
         spec.checkpoints,
@@ -197,30 +279,33 @@ def _simulation_shard_body(spec: SimulationSpec, shard: Shard):
 
 
 def _run_simulation_shard(task) -> Any:
-    """Worker entry point: run one chunk of a Monte Carlo ensemble.
+    """Worker entry point: run one fused group of a Monte Carlo ensemble.
 
-    ``task`` is ``(spec, shard)`` on an untraced dispatch (identical
-    pickle profile to every prior release) or ``(spec, shard,
-    task_index)`` when telemetry is on, in which case the return value
-    is a :class:`~repro.obs.ShardEnvelope` carrying the worker's spans
-    and metrics alongside the result.
+    ``task`` is ``(spec, shards)`` on an untraced dispatch or ``(spec,
+    shards, task_index)`` when telemetry is on, in which case the
+    return value is a :class:`~repro.obs.ShardEnvelope` carrying the
+    worker's spans and metrics alongside the result.  ``shards`` are
+    contiguous shards of ``spec``'s plan, run as one stacked kernel
+    call; the result is their per-shard parts, in order, each
+    byte-identical to running that shard alone.
     """
     if len(task) == 2:
-        spec, shard = task
-        return _simulation_shard_body(spec, shard)
-    spec, shard, index = task
-    return _traced_shard(_simulation_shard_body, spec, shard, index, "sim")
+        spec, shards = task
+        return _simulation_group_body(spec, shards)
+    spec, shards, index = task
+    return _traced_group(_simulation_group_body, spec, shards, index, "sim")
 
 
 def _system_shard_body(spec: SystemSpec, shard: Shard):
     # Calls the experiment's serial path directly — never its public
     # ``run`` — so a forked worker that inherited an ambient runtime
-    # cannot recurse into the pool.
+    # cannot recurse into the pool.  A pristine seed copy keeps re-runs
+    # identical (see _simulation_group_body).
     result = spec.experiment._run_serial(
         spec.rounds,
         shard.trials,
         checkpoints=spec.checkpoints,
-        seed=RandomSource(shard.seed),
+        seed=RandomSource(pristine_sequence(shard.seed)),
     )
     if spec.reduce == "stats":
         # The node-level harness produces full per-repeat results; the
@@ -232,21 +317,37 @@ def _system_shard_body(spec: SystemSpec, shard: Shard):
     return result
 
 
+def _system_group_body(spec: SystemSpec, shards: Sequence[Shard]):
+    return [_system_shard_body(spec, shard) for shard in shards]
+
+
 def _run_system_shard(task) -> Any:
-    """Worker entry point: run one chunk of node-level system repeats.
+    """Worker entry point: run one group of node-level system repeats.
 
     Task shapes and envelope semantics mirror
-    :func:`_run_simulation_shard`.
+    :func:`_run_simulation_shard`; the node-level harness has no
+    stacked form, so the group's shards simply run in turn.
     """
     if len(task) == 2:
-        spec, shard = task
-        return _system_shard_body(spec, shard)
-    spec, shard, index = task
-    return _traced_shard(_system_shard_body, spec, shard, index, "system")
+        spec, shards = task
+        return _system_group_body(spec, shards)
+    spec, shards, index = task
+    return _traced_group(_system_group_body, spec, shards, index, "system")
 
 
 class ParallelRunner:
     """Sharded, cached execution of ensemble workloads.
+
+    A spec's shards run in *fused groups*: contiguous shards of one
+    spec that one task advances as a single stacked kernel call.  A
+    spec gets at least ``ceil(workers / uncached specs)`` groups, so a
+    lone spec still feeds every worker; a group holds at most about
+    :data:`~repro.sim.kernels.GROUP_MAX_ROWS` trials and
+    :data:`~repro.sim.kernels.GROUP_MAX_PART_BYTES` of estimated
+    results.  Grouping never changes a shard's bits, only how many
+    shards share a task — which is also the unit of retries, deadlines
+    and failures.  Node-level system repeats have no stacked form and
+    run one shard per task.
 
     Parameters
     ----------
@@ -279,20 +380,24 @@ class ParallelRunner:
     retry:
         Optional :class:`~repro.runtime.faults.RetryPolicy` (or an int
         shorthand for ``RetryPolicy(max_attempts=n)``): transiently
-        failing shards are re-run with deterministic backoff before a
-        failure is reported.  Shards are pure functions of the plan, so
-        retried runs stay bit-identical.  Only valid when the runner
-        builds its own executor; configure a custom executor directly.
+        failing tasks — each a fused group of shards — are re-run whole
+        with deterministic backoff before a failure is reported.
+        Shards are pure functions of the plan, so retried runs stay
+        bit-identical.  :attr:`shards_retried` counts retried task
+        attempts.  Only valid when the runner builds its own executor;
+        configure a custom executor directly.
     timeout:
-        Optional per-shard deadline in seconds (pool backends only):
-        hung workers are abandoned or killed, the failure classifies as
-        a retryable :class:`~repro.runtime.faults.WorkerTimeoutError`,
-        and an unrecoverable pool degrades to serial with a warning.
+        Optional per-task deadline in seconds, covering one fused group
+        (pool backends only): hung workers are abandoned or killed, the
+        failure classifies as a retryable
+        :class:`~repro.runtime.faults.WorkerTimeoutError`, and an
+        unrecoverable pool degrades to serial with a warning.
     journal:
         A :class:`~repro.runtime.journal.RunJournal` (or a path to
         one); requires a cache.  Completed shards are checkpointed as
-        cache artifacts and journaled as they fold, so an interrupted
-        grid resumes — recomputing only unjournaled shards — by
+        cache artifacts and journaled as their task returns, so an
+        interrupted grid resumes — recomputing only unjournaled shards,
+        which is every shard of a task that failed or never ran — by
         re-running with the same journal.  None of ``retry``,
         ``timeout`` or ``journal`` enters cache fingerprints: a
         fault-tolerant run shares its artifacts with a plain one.
@@ -437,6 +542,7 @@ class ParallelRunner:
             _run_simulation_shard,
             shards,
             span_name="runner.run_many",
+            fuse=True,
         )
 
     def run_system(
@@ -488,6 +594,7 @@ class ParallelRunner:
             _run_system_shard,
             shards,
             span_name="runner.run_system_many",
+            fuse=False,
         )
 
     def _resolve_shards(self, total: int, shards: Optional[int]) -> int:
@@ -512,14 +619,15 @@ class ParallelRunner:
         shard_fn,
         shards: Optional[int],
         span_name: str,
+        fuse: bool,
     ):
         tracer = get_tracer()
         if tracer.enabled:
             with tracer.span(
                 span_name, specs=len(entries), workers=self.workers
             ) as root:
-                return self._dispatch(entries, shard_fn, shards, root)
-        return self._dispatch(entries, shard_fn, shards, None)
+                return self._dispatch(entries, shard_fn, shards, root, fuse)
+        return self._dispatch(entries, shard_fn, shards, None, fuse)
 
     def _dispatch(
         self,
@@ -527,10 +635,22 @@ class ParallelRunner:
         shard_fn,
         shards: Optional[int],
         root,
+        fuse: bool,
     ):
+        """Plan, check the cache, group the uncached shards into tasks,
+        and fold.
+
+        With ``fuse`` each task is a contiguous group of one spec's
+        shards (see :func:`_pack_groups`); otherwise — node-level
+        system repeats, which have no stacked form and gain nothing
+        from grouping — each task holds one shard.
+        """
         merged: List[Optional[EnsembleResult]] = [None] * len(entries)
-        tasks: List[Tuple[Any, Shard]] = []
-        pending: List[_Pending] = []
+        # (position, key, spec, plan shards, dispatched ordinals, preloaded)
+        # Uncached specs: (position, key, spec, plan, ordinals to
+        # dispatch, journal-preloaded parts).
+        work: List[Tuple[int, Optional[str], Any, ShardPlan,
+                         Tuple[int, ...], Tuple[Tuple[int, Any], ...]]] = []
         first_pending: dict = {}
         duplicates: List[Tuple[int, int, str]] = []
         metrics = get_metrics()
@@ -593,32 +713,45 @@ class ParallelRunner:
                         merged[position] = result
                         continue
                 first_pending[key] = position
-            shard_list = list(plan)
+            work.append((position, key, spec, plan, ordinals, preloaded))
+        tasks: List[Tuple[Any, Tuple[Shard, ...]]] = []
+        pending: List[_Pending] = []
+        # Enough groups per spec that a small grid (or a lone spec)
+        # still gives every worker a task.
+        least = -(-self.workers // max(1, len(work)))
+        for position, key, spec, plan, ordinals, preloaded in work:
+            if fuse:
+                groups = _pack_groups(spec, plan.shards, ordinals, least)
+            else:
+                groups = [(ordinal,) for ordinal in ordinals]
             pending.append(
                 _Pending(
-                    position, key, len(tasks), len(ordinals), plan.total,
-                    len(plan), ordinals, preloaded,
+                    position, key, len(tasks), tuple(groups), plan.total,
+                    len(plan), preloaded,
                 )
             )
-            tasks.extend((spec, shard_list[ordinal]) for ordinal in ordinals)
+            tasks.extend(
+                (spec, tuple(plan.shards[o] for o in group)) for group in groups
+            )
+        dispatched = sum(len(group) for entry in pending for group in entry.groups)
         if root is not None:
-            # Traced dispatches widen tasks to (spec, shard, task_index)
+            # Traced dispatches widen tasks to (spec, shards, task_index)
             # so workers can stamp shard.run spans with the index the
             # executor's submit/complete events carry; untraced
-            # dispatches keep the bare 2-tuples (identical pickle
-            # payloads and worker code path to the untraced runtime).
+            # dispatches keep the bare 2-tuples.
             tasks = [
-                (spec, shard, index)
-                for index, (spec, shard) in enumerate(tasks)
+                (spec, group, index)
+                for index, (spec, group) in enumerate(tasks)
             ]
             root.set("tasks", len(tasks))
+            root.set("shards", dispatched)
             root.set("cached_specs", len(entries) - len(pending) - len(duplicates))
         if metrics.enabled:
             metrics.counter("runner.specs").inc(len(entries))
-            metrics.counter("runner.shards_dispatched").inc(len(tasks))
+            metrics.counter("runner.shards_dispatched").inc(dispatched)
         try:
             if tasks:
-                self._fold_streamed(tasks, pending, shard_fn, merged)
+                self._fold_streamed(tasks, pending, shard_fn, merged, dispatched)
         finally:
             # Give line-oriented progress callbacks (e.g. the CLI's
             # carriage-return shard ticker) a chance to terminate their
@@ -648,37 +781,38 @@ class ParallelRunner:
         for ordinal in range(entry.shards):
             self.cache.discard(shard_fingerprint(entry.key, ordinal))
 
-    def _fold_streamed(self, tasks, pending, shard_fn, merged) -> None:
-        """Fold shard results in plan order as they complete.
+    def _fold_streamed(self, tasks, pending, shard_fn, merged, total) -> None:
+        """Fold shard results in plan order as their tasks complete.
 
         Completions arrive from :meth:`Executor.stream` in whatever
         order the pool finishes them; a :class:`ReorderBuffer` (bounded
-        by the executor's submission window) restores plan order, and
-        each released shard folds straight into its spec's
-        :class:`~repro.core.results.MergeAccumulator` and is dropped —
-        at most ``O(workers)`` shard results are ever held, against
-        ``O(shards)`` for a collect-then-merge, while the folded
-        ensemble stays bit-identical to ``merge_parts`` over the full
-        shard list.
+        by the executor's submission window) restores task order, and
+        each released task's per-shard parts fold straight into their
+        spec's :class:`~repro.core.results.MergeAccumulator` and are
+        dropped — at most ``O(workers)`` task results are ever held,
+        against ``O(shards)`` for a collect-then-merge, while the
+        folded ensemble stays bit-identical to ``merge_parts`` over the
+        full shard list.
 
         A spec whose shards all folded is finalized — and cached —
-        immediately, so a later shard failure in another spec never
-        discards completed work.  Progress fires once per
-        *merged* shard, in plan order, and therefore cannot overshoot
-        the dispatch total when shards fail — and counts each shard's
-        final outcome exactly once, however many retry attempts it
+        immediately, so a later failure in another spec never discards
+        completed work.  A failed task fails every shard it carried.
+        Progress fires once per *merged* shard (``total`` is the
+        dispatched shard count), in plan order, and therefore cannot
+        overshoot when tasks fail — and counts each shard's final
+        outcome exactly once, however many retry attempts its task
         took.
 
         With a journal, shards recovered from a prior run (``entry
         .preloaded``) interleave with dispatched completions at their
         plan ordinals, and every fresh shard is checkpointed (artifact
-        + journal record) the moment it arrives — including shards of
-        specs already poisoned by a failure, so an aborted grid leaves
-        the maximum behind for ``--resume``.
+        + journal record) the moment its task returns — including
+        shards of specs already poisoned by a failure, so an aborted
+        grid leaves the maximum behind for ``--resume``.
         """
         owner: Dict[int, int] = {}
         for slot, entry in enumerate(pending):
-            for index in range(entry.start, entry.start + entry.count):
+            for index in range(entry.start, entry.start + len(entry.groups)):
                 owner[index] = slot
         accumulators: List[Optional[MergeAccumulator]] = [None] * len(pending)
         # Per-slot plan-order fold state: `cursors` is the next ordinal
@@ -693,16 +827,12 @@ class ParallelRunner:
         buffer = ReorderBuffer(len(tasks))
         tracer = get_tracer()
         metrics = get_metrics()
-        folded = 0
+        folded = 0  # shards merged (or failed), for progress
 
-        def poison(slot: int, task_index: int, error: Exception) -> None:
-            failures.append((
-                task_index,
-                repr(error),
-                _format_exception(error),
-            ))
+        def poison(slot: int, failure: Tuple[int, str, str]) -> None:
+            failures.append(failure)
             poisoned[slot] = True
-            accumulators[slot] = None
+            accumulators[slot] = None  # free the partial fold
             staged[slot].clear()
 
         def advance(slot: int, task_index: int) -> None:
@@ -722,7 +852,7 @@ class ParallelRunner:
                     # A malformed payload (e.g. from a duck-typed
                     # executor) must fail its spec, not crash the whole
                     # fold loop mid-grid.
-                    poison(slot, task_index, error)
+                    poison(slot, _error_triple(task_index, error))
                     return
                 cursors[slot] += 1
             if cursors[slot] == entry.shards and not poisoned[slot]:
@@ -739,36 +869,54 @@ class ParallelRunner:
             # dict (and peak memory) bounded by the reorder window.
             if staged[slot]:
                 advance(slot, pending[slot].start)
-        for index, ok, payload in self.executor.stream(shard_fn, tasks):
-            for task_index, (item_ok, item) in buffer.push(index, (ok, payload)):
-                slot = owner[task_index]
-                entry = pending[slot]
-                ordinal = entry.ordinals[task_index - entry.start]
-                if item_ok:
-                    # Traced workers ship telemetry with the payload;
-                    # unwrap (a bare payload passes through) before it
-                    # reaches the accumulator.
-                    item = ingest_envelope(item)
-                if not item_ok:
-                    failures.append(_failure_triple(task_index, item))
-                    poisoned[slot] = True
-                    accumulators[slot] = None  # free the partial fold
-                    staged[slot].clear()
-                    if metrics.enabled:
-                        metrics.counter("runner.shards_failed").inc()
-                else:
+        def fold(task_index: int, item_ok: bool, item) -> None:
+            """Fold (or fail) every shard of one released task."""
+            nonlocal folded
+            slot = owner[task_index]
+            entry = pending[slot]
+            group = entry.groups[task_index - entry.start]
+            failure = None
+            if not item_ok:
+                failure = _failure_triple(task_index, item)
+            else:
+                # Traced workers ship telemetry with the payload;
+                # unwrap (a bare payload passes through) before it
+                # reaches the accumulator.
+                item = ingest_envelope(item)
+                if not isinstance(item, list) or len(item) != len(group):
+                    failure = _error_triple(task_index, TypeError(
+                        f"task {task_index} returned {type(item).__name__}"
+                        f", not a list of {len(group)} shard results"
+                    ))
+            if failure is not None:
+                poison(slot, failure)
+                if metrics.enabled:
+                    metrics.counter("runner.shards_failed").inc(len(group))
+            else:
+                for ordinal, part in zip(group, item):
                     # Checkpoint before folding: even shards of a spec
                     # that already failed are worth journaling — resume
                     # will not recompute them.
-                    self._journal_shard(entry, ordinal, item)
+                    self._journal_shard(entry, ordinal, part)
                     if not poisoned[slot]:
-                        staged[slot][ordinal] = item
-                        advance(slot, task_index)
-                folded += 1
-                if tracer.enabled:
-                    tracer.event("shard.merge", task=task_index, ok=item_ok)
-                if self.progress is not None:
-                    self.progress(folded, len(tasks))
+                        staged[slot][ordinal] = part
+                advance(slot, task_index)
+            if tracer.enabled:
+                tracer.event("shard.merge", task=task_index, ok=failure is None)
+            if self.progress is not None:
+                for _ in group:
+                    folded += 1
+                    self.progress(folded, total)
+
+        for index, ok, payload in self.executor.stream(shard_fn, tasks):
+            released = buffer.push(index, (ok, payload))
+            # Hold no reference to a folded task's parts while the
+            # executor computes the next one.
+            del payload
+            while released:
+                task_index, (item_ok, item) = released.pop(0)
+                fold(task_index, item_ok, item)
+                del item
         if not buffer.complete:
             # A custom stream() that drops tasks instead of yielding
             # them as failures would otherwise surface as silent None

@@ -25,7 +25,14 @@ import numpy as np
 
 from .._validation import ensure_positive_int
 
-__all__ = ["DEFAULT_SHARD_COUNT", "Shard", "ShardPlan", "plan_shards", "split_evenly"]
+__all__ = [
+    "DEFAULT_SHARD_COUNT",
+    "Shard",
+    "ShardPlan",
+    "plan_shards",
+    "pristine_sequence",
+    "split_evenly",
+]
 
 #: Default number of shards for a parallel run.  Deliberately a fixed
 #: constant rather than the worker count, so default plans (and hence
@@ -46,6 +53,21 @@ def split_evenly(total: int, parts: int) -> List[int]:
         raise ValueError(f"cannot split {total} items into {parts} shards")
     base, remainder = divmod(total, parts)
     return [base + (1 if i < remainder else 0) for i in range(parts)]
+
+
+def pristine_sequence(seed: np.random.SeedSequence) -> np.random.SeedSequence:
+    """A copy of ``seed`` that has spawned no children yet.
+
+    :meth:`SeedSequence.spawn` is stateful (``n_children_spawned``), so
+    spawning from a shared sequence changes what the *next* spawn
+    returns.  Everything that must be a pure function of a seed — a
+    shard plan, a shard body run twice — spawns from a pristine copy.
+    """
+    return np.random.SeedSequence(
+        entropy=seed.entropy,
+        spawn_key=seed.spawn_key,
+        pool_size=seed.pool_size,
+    )
 
 
 @dataclass(frozen=True)
@@ -103,15 +125,8 @@ def plan_shards(
     else:
         count = ensure_positive_int("count", count)
     sizes = split_evenly(total, count)
-    # Spawn from a pristine copy: SeedSequence.spawn is stateful
-    # (n_children_spawned), and the plan must be a pure function of the
-    # spec — re-planning the same spec has to yield the same shards.
-    root = np.random.SeedSequence(
-        entropy=seed.entropy,
-        spawn_key=seed.spawn_key,
-        pool_size=seed.pool_size,
-    )
-    children = root.spawn(count)
+    # Re-planning the same spec has to yield the same shards.
+    children = pristine_sequence(seed).spawn(count)
     shards = tuple(
         Shard(index=i, trials=size, seed=child)
         for i, (size, child) in enumerate(zip(sizes, children))

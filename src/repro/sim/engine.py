@@ -12,11 +12,17 @@ fused batched kernels (:mod:`repro.sim.kernels`) by default; the
 instead.  The two paths are bit-identical — the knob exists for
 differential testing and as a safety valve, not because results
 differ.
+
+An engine may also run several independent ensembles — ``(trials,
+seed)`` row blocks, such as the shards of one spec — stacked into one
+state, so each segment is a single kernel call over all their rows.
+Every block draws from its own generator and is split back into its
+own result, byte-identical to running it alone.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from ..obs.trace import get_tracer
 from ..protocols.base import EnsembleState, IncentiveProtocol
 from .checkpoints import linear_checkpoints, validate_checkpoints
 from .events import GameEvent, plan_segments
-from .kernels import batched_advance, ensure_kernel_mode
+from .kernels import RowStreams, batched_advance, can_fuse, ensure_kernel_mode
 from .rng import RandomSource, SeedLike
 
 __all__ = ["MonteCarloEngine", "simulate"]
@@ -54,6 +60,14 @@ class MonteCarloEngine:
         kernels of :mod:`repro.sim.kernels`; ``"naive"`` loops the
         protocol's per-round ``step``.  Bit-identical outputs either
         way — the naive path is kept for differential testing.
+    blocks:
+        Optional ``(trials, seed)`` pairs replacing ``trials``/``seed``:
+        independent ensembles stacked into one state and advanced by
+        one kernel call per segment.  :meth:`run` then returns one
+        result per block, each byte-identical to an engine built with
+        that block's ``trials`` and ``seed``.  Protocols without a
+        stackable kernel (and ``kernel="naive"``) run the blocks one
+        after another.
 
     Examples
     --------
@@ -74,6 +88,8 @@ class MonteCarloEngine:
         trials: int = 10_000,
         seed: SeedLike = None,
         kernel: str = "batched",
+        *,
+        blocks: Optional[Sequence[Tuple[int, SeedLike]]] = None,
     ) -> None:
         if not isinstance(protocol, IncentiveProtocol):
             raise TypeError(
@@ -85,9 +101,21 @@ class MonteCarloEngine:
             )
         self.protocol = protocol
         self.allocation = allocation
-        self.trials = ensure_positive_int("trials", trials)
         self.kernel = ensure_kernel_mode(kernel)
-        self._source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
+        self._per_block = blocks is not None
+        if blocks is None:
+            blocks = ((trials, seed),)
+        self._blocks: Tuple[Tuple[int, RandomSource], ...] = tuple(
+            (
+                ensure_positive_int("trials", rows),
+                source if isinstance(source, RandomSource)
+                else RandomSource(source),
+            )
+            for rows, source in blocks
+        )
+        if not self._blocks:
+            raise ValueError("blocks must hold at least one (trials, seed)")
+        self.trials = sum(rows for rows, _ in self._blocks)
 
     def run(
         self,
@@ -124,6 +152,8 @@ class MonteCarloEngine:
         Returns
         -------
         EnsembleResult or StatsSummary
+            Or, for an engine built with ``blocks``, a list of them —
+            one per block, in block order.
         """
         horizon = ensure_positive_int("horizon", horizon)
         ensure_reduce_mode(reduce)
@@ -138,22 +168,62 @@ class MonteCarloEngine:
                     f"event at round {event.round_index} exceeds horizon {horizon}"
                 )
 
-        rng = self._source.spawn_one().generator()
-        state = self.protocol.make_state(self.allocation, self.trials)
+        stackable = self.kernel == "batched" and can_fuse(self.protocol)
+        # A one-row block runs alone: its (miners, 1) reductions collapse
+        # to one contiguous axis, which NumPy sums pairwise, unlike a
+        # stacked row — so stacking it would change its bits.
+        stacked = [index for index, (rows, _) in enumerate(self._blocks)
+                   if stackable and rows > 1]
+        groups = [[index] for index in range(len(self._blocks))
+                  if index not in stacked]
+        if stacked:
+            groups.append(stacked)
+        results: list = [None] * len(self._blocks)
+        for group in groups:
+            parts = self._run_blocks(
+                [self._blocks[index] for index in group],
+                checkpoint_list, event_list, record_terminal_stakes, reduce,
+            )
+            for index, part in zip(group, parts):
+                results[index] = part
+        return results if self._per_block else results[0]
 
-        collector: Optional[StatsCollector] = None
-        fractions: Optional[np.ndarray] = None
+    def _run_blocks(
+        self,
+        blocks: Sequence[Tuple[int, RandomSource]],
+        checkpoint_list: List[int],
+        event_list: List[GameEvent],
+        record_terminal_stakes: bool,
+        reduce: str,
+    ) -> list:
+        """Advance ``blocks`` stacked in one state; split the results back."""
+        streams = RowStreams([
+            (rows, source.spawn_one().generator()) for rows, source in blocks
+        ])
+        bounds = [(start, stop) for start, stop, _ in streams.blocks]
+        state = self.protocol.make_state(self.allocation, streams.trials)
+
+        # One sink per block: a stats collector, or the block's own
+        # trajectory cube (no stacked cube to copy out of afterwards).
+        collectors: List[StatsCollector] = []
+        cubes: List[np.ndarray] = []
         if reduce == "stats":
-            collector = StatsCollector(
-                protocol_name=self.protocol.name,
-                allocation=self.allocation,
-                checkpoints=checkpoint_list,
-                round_unit=self.protocol.round_unit,
-            )
+            collectors = [
+                StatsCollector(
+                    protocol_name=self.protocol.name,
+                    allocation=self.allocation,
+                    checkpoints=checkpoint_list,
+                    round_unit=self.protocol.round_unit,
+                )
+                for _ in bounds
+            ]
         else:
-            fractions = np.empty(
-                (self.trials, len(checkpoint_list), self.allocation.size)
-            )
+            cubes = [
+                np.empty(
+                    (stop - start, len(checkpoint_list), self.allocation.size)
+                )
+                for start, stop in bounds
+            ]
         boundaries = plan_segments(checkpoint_list, event_list)
         checkpoint_positions = {c: i for i, c in enumerate(checkpoint_list)}
         pending_events = list(event_list)
@@ -166,39 +236,53 @@ class MonteCarloEngine:
         for boundary in boundaries:
             gap = boundary - previous
             if gap > 0:
-                self._advance(state, gap, rng)
+                self._advance(state, gap, streams)
             previous = boundary
             while pending_events and pending_events[0].round_index == boundary:
                 pending_events.pop(0).apply(state)
             position = checkpoint_positions.get(boundary)
             if position is not None:
                 issued = self.protocol.total_issued(boundary)
-                if collector is not None:
-                    collector.observe(position, state.rewards / issued)
-                else:
-                    fractions[:, position, :] = state.rewards / issued
+                raw = state.rewards / issued
+                for index, (start, stop) in enumerate(bounds):
+                    if collectors:
+                        collectors[index].observe(position, raw[start:stop])
+                    else:
+                        cubes[index][:, position, :] = raw[start:stop]
 
-        if collector is not None:
-            if record_terminal_stakes:
-                collector.observe_terminal(state.stakes)
-            return collector.build(self.trials)
-        terminal = state.stakes.copy() if record_terminal_stakes else None
-        return EnsembleResult(
-            protocol_name=self.protocol.name,
-            allocation=self.allocation,
-            checkpoints=checkpoint_list,
-            reward_fractions=fractions,
-            terminal_stakes=terminal,
-            round_unit=self.protocol.round_unit,
-        )
+        if collectors:
+            summaries = []
+            for collector, (start, stop) in zip(collectors, bounds):
+                if record_terminal_stakes:
+                    collector.observe_terminal(state.stakes[start:stop])
+                summaries.append(collector.build(stop - start))
+            return summaries
+        results = []
+        for start, stop in bounds:
+            # The constructor clips into a copy; popping each raw cube
+            # frees it before the next block's copy is made.
+            results.append(EnsembleResult(
+                protocol_name=self.protocol.name,
+                allocation=self.allocation,
+                checkpoints=checkpoint_list,
+                reward_fractions=cubes.pop(0),
+                terminal_stakes=(
+                    state.stakes[start:stop].copy()
+                    if record_terminal_stakes else None
+                ),
+                round_unit=self.protocol.round_unit,
+            ))
+        return results
 
     def _advance(
-        self, state: EnsembleState, rounds: int, rng: np.random.Generator
+        self, state: EnsembleState, rounds: int, streams: RowStreams
     ) -> None:
         """Advance one segment through the configured kernel path."""
         if self.kernel == "batched":
-            batched_advance(self.protocol, state, rounds, rng)
+            batched_advance(self.protocol, state, rounds, streams)
             return
+        # Naive runs are one block (see run).
+        rng = streams.blocks[0][2]
         tracer = get_tracer()
         if tracer.enabled:
             with tracer.span(
@@ -206,7 +290,7 @@ class MonteCarloEngine:
                 mode="naive",
                 protocol=self.protocol.name,
                 rounds=rounds,
-                trials=self.trials,
+                trials=state.trials,
             ):
                 self.protocol.advance_many(state, rounds, rng)
         else:

@@ -15,6 +15,13 @@ while staying **bit-identical** to the per-round loop:
   uniforms.  Blocks are chunked (:data:`DEFAULT_CHUNK_ROUNDS` rounds,
   capped by :data:`DEFAULT_CHUNK_BUDGET_BYTES`) so peak memory stays
   bounded at 100k-trial scale.
+* **Stacked row blocks** — a state may stack several independent
+  ensembles (the shards of one spec) along the trials axis, each with
+  its own generator (:class:`RowStreams`).  Every random draw is split
+  along that axis: a block's rows come from its own generator in the
+  order it would consume them alone, and all other arithmetic is
+  row-wise, so each block's rows are bit-identical to advancing it by
+  itself — at one kernel call for the whole stack.
 * **Scratch-buffer reuse** — a :class:`ScratchBuffers` pool hangs off
   ``state.scratch`` and every inner-loop array op writes into a
   preallocated buffer (``np.cumsum(..., out=)``, ``np.divide(...,
@@ -39,7 +46,16 @@ than risk a wrong fused recurrence.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Optional, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 import numpy as np
 
@@ -69,8 +85,12 @@ __all__ = [
     "KERNEL_MODES",
     "DEFAULT_CHUNK_ROUNDS",
     "DEFAULT_CHUNK_BUDGET_BYTES",
+    "GROUP_MAX_PART_BYTES",
+    "GROUP_MAX_ROWS",
+    "RowStreams",
     "ScratchBuffers",
     "batched_advance",
+    "can_fuse",
     "ensure_kernel_mode",
     "find_kernel",
     "register_kernel",
@@ -85,6 +105,15 @@ DEFAULT_CHUNK_ROUNDS = 256
 #: Cap on the bytes a single pre-drawn block may occupy; at 100k-trial
 #: scale this, not DEFAULT_CHUNK_ROUNDS, bounds the chunk.
 DEFAULT_CHUNK_BUDGET_BYTES = 64 << 20
+
+#: Cap on the trial rows one stacked kernel call (a fused shard group
+#: of the runtime) holds: past a few thousand rows a call is no longer
+#: dispatch-bound, so bigger groups only cost memory and parallelism.
+GROUP_MAX_ROWS = 2048
+
+#: Cap on the estimated bytes of one fused group's per-shard results,
+#: which are all alive together until the group returns.
+GROUP_MAX_PART_BYTES = 1 << 20
 
 
 def ensure_kernel_mode(kernel: str) -> str:
@@ -138,19 +167,100 @@ class ScratchBuffers:
         return f"ScratchBuffers(buffers={len(self)}, nbytes={self.nbytes})"
 
 
+# -- row-blocked random streams ------------------------------------------------
+
+
+class RowStreams:
+    """The generators of a stacked ensemble, one per contiguous row block.
+
+    Block ``b`` owns rows ``[start_b, stop_b)`` of the state and draws
+    them from its own generator, in the order it would draw them if it
+    were advanced alone.  A lone generator is the one-block case.
+
+    Parameters
+    ----------
+    blocks:
+        ``(rows, generator)`` pairs in row order.
+    """
+
+    __slots__ = ("blocks", "trials")
+
+    def __init__(
+        self, blocks: Sequence[Tuple[int, np.random.Generator]]
+    ) -> None:
+        bounds = []
+        start = 0
+        for rows, generator in blocks:
+            rows = ensure_positive_int("rows", rows)
+            bounds.append((start, start + rows, generator))
+            start += rows
+        if not bounds:
+            raise ValueError("RowStreams needs at least one block")
+        self.blocks: Tuple[Tuple[int, int, np.random.Generator], ...] = (
+            tuple(bounds)
+        )
+        self.trials = start
+
+    @property
+    def widest(self) -> int:
+        """Rows in the largest block."""
+        return max(stop - start for start, stop, _ in self.blocks)
+
+    def multinomial(self, count: int, pvals: np.ndarray) -> np.ndarray:
+        """One ``Multinomial(count, pvals[row])`` draw per row.
+
+        A 2-D ``pvals`` draws its rows in order, so splitting the rows
+        by block reproduces each block's own draws."""
+        if len(self.blocks) == 1:
+            return self.blocks[0][2].multinomial(count, pvals)
+        out = np.empty(pvals.shape, dtype=np.int64)
+        for start, stop, generator in self.blocks:
+            out[start:stop] = generator.multinomial(count, pvals[start:stop])
+        return out
+
+    def __repr__(self) -> str:
+        sizes = [stop - start for start, stop, _ in self.blocks]
+        return f"RowStreams(sizes={sizes})"
+
+
+def _as_streams(
+    rng: Union[np.random.Generator, RowStreams], trials: int
+) -> RowStreams:
+    streams = rng if isinstance(rng, RowStreams) else RowStreams([(trials, rng)])
+    if streams.trials != trials:
+        raise ValueError(
+            f"row streams cover {streams.trials} rows but the state has "
+            f"{trials} trials"
+        )
+    return streams
+
+
 # -- chunked pre-drawn uniform blocks -----------------------------------------
 
 
-def _chunk_size(rounds: int, floats_per_round: int, chunk: Optional[int]) -> int:
-    """Rounds per pre-drawn block: explicit, or budget-capped default."""
+def _chunk_size(
+    rounds: int,
+    floats_per_round: int,
+    chunk: Optional[int],
+    alone_floats_per_round: Optional[int] = None,
+) -> int:
+    """Rounds per pre-drawn block: explicit, or budget-capped default.
+
+    The default budget is what a block of ``alone_floats_per_round``
+    floats per round (default: ``floats_per_round``) would get by
+    itself, so stacking row blocks shortens the chunk instead of
+    growing the block's memory."""
     if chunk is None:
-        budget = DEFAULT_CHUNK_BUDGET_BYTES // (8 * max(1, floats_per_round))
-        chunk = max(1, min(DEFAULT_CHUNK_ROUNDS, int(budget)))
+        alone = alone_floats_per_round or floats_per_round
+        budget = min(
+            DEFAULT_CHUNK_ROUNDS * alone, DEFAULT_CHUNK_BUDGET_BYTES // 8
+        )
+        chunk = max(1, budget // max(1, floats_per_round))
     return max(1, min(chunk, rounds))
 
 
 def _uniform_blocks(
-    rng: np.random.Generator,
+    streams: RowStreams,
     scratch: ScratchBuffers,
     name: str,
     rounds: int,
@@ -159,21 +269,41 @@ def _uniform_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield ``(n, *round_shape)`` blocks of pre-drawn uniforms.
 
-    ``rng.random(out=block)`` fills the block in C order from the same
-    stream positions as ``n`` sequential ``rng.random(round_shape)``
-    calls, so consuming blocks is bit-identical to the per-round draws
-    of the naive loop — for any chunking.
+    ``round_shape[0]`` is the trials axis.  ``rng.random(out=block)``
+    fills a block in C order from the same stream positions as ``n``
+    sequential ``rng.random(round_shape)`` calls, so consuming blocks is
+    bit-identical to the per-round draws of the naive loop — for any
+    chunking.  With several row blocks, each block's rows are drawn from
+    its own generator into a contiguous staging array and copied into
+    place.
     """
-    per_round = 1
-    for extent in round_shape:
-        per_round *= extent
-    size = _chunk_size(rounds, per_round, chunk)
+    per_row = 1
+    for extent in round_shape[1:]:
+        per_row *= extent
+    per_round = round_shape[0] * per_row
+    widest = streams.widest * per_row
+    single = len(streams.blocks) == 1
+    # The stacked block and its staging array together get the budget
+    # the widest row block would get alone.
+    size = _chunk_size(
+        rounds, per_round + (0 if single else widest), chunk, widest
+    )
     block = scratch.get(name, (size,) + tuple(round_shape))
+    if not single:
+        staging = scratch.get(name + "_rows", (size * widest,))
     done = 0
     while done < rounds:
         count = min(size, rounds - done)
         view = block[:count]
-        rng.random(out=view)
+        if single:
+            streams.blocks[0][2].random(out=view)
+        else:
+            for start, stop, generator in streams.blocks:
+                rows = staging[: count * (stop - start) * per_row].reshape(
+                    (count, stop - start) + tuple(round_shape[1:])
+                )
+                generator.random(out=rows)
+                view[:, start:stop] = rows
         yield view
         done += count
 
@@ -181,7 +311,7 @@ def _uniform_blocks(
 # -- registry -----------------------------------------------------------------
 
 KernelFn = Callable[
-    [IncentiveProtocol, EnsembleState, int, np.random.Generator,
+    [IncentiveProtocol, EnsembleState, int, RowStreams,
      ScratchBuffers, Optional[int]],
     None,
 ]
@@ -210,11 +340,26 @@ def find_kernel(protocol: IncentiveProtocol) -> Optional[KernelFn]:
     return _KERNELS.get(type(protocol))
 
 
+def can_fuse(protocol: IncentiveProtocol) -> bool:
+    """Whether :func:`batched_advance` can advance stacked row blocks
+    of ``protocol`` in one call.
+
+    Unregistered protocols (and withholding over an inner lottery
+    without a batched sampler) advance through the naive loop, which
+    draws from one generator for the whole state; their blocks must be
+    run one after another instead."""
+    if find_kernel(protocol) is None:
+        return False
+    if isinstance(protocol, RewardWithholding):
+        return type(protocol.inner) in _WITHHOLD_SAMPLERS
+    return True
+
+
 def batched_advance(
     protocol: IncentiveProtocol,
     state: EnsembleState,
     rounds: int,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, RowStreams],
     *,
     chunk: Optional[int] = None,
 ) -> None:
@@ -223,15 +368,25 @@ def batched_advance(
     Bit-identical to ``protocol.advance_many(state, rounds, rng)`` —
     same final arrays, same generator position — for every registered
     protocol and any ``chunk``; unregistered protocols delegate to the
-    naive loop.  ``chunk`` overrides the pre-drawn block length
-    (default: :data:`DEFAULT_CHUNK_ROUNDS`, memory-capped).
+    naive loop.  ``rng`` is a generator or, for a state stacking
+    several ensembles, their :class:`RowStreams` (only for protocols
+    that :func:`can_fuse`); each block then ends exactly as if it had
+    been advanced alone.  ``chunk`` overrides the pre-drawn block
+    length (default: :data:`DEFAULT_CHUNK_ROUNDS`, memory-capped).
     """
     rounds = ensure_positive_int("rounds", rounds)
     if chunk is not None:
         chunk = ensure_positive_int("chunk", chunk)
+    streams = _as_streams(rng, state.trials)
+    if len(streams.blocks) > 1 and not can_fuse(protocol):
+        raise ValueError(
+            f"{type(protocol).__name__} has no batched kernel for stacked "
+            "row blocks; advance each block separately"
+        )
     kernel = find_kernel(protocol)
     tracer = get_tracer()
     if kernel is None:
+        generator = streams.blocks[0][2]
         if tracer.enabled:
             # Unregistered protocol: the segment runs the per-round
             # loop, so report it on the naive side of the time split.
@@ -242,9 +397,9 @@ def batched_advance(
                 rounds=rounds,
                 trials=state.trials,
             ):
-                protocol.advance_many(state, rounds, rng)
+                protocol.advance_many(state, rounds, generator)
         else:
-            protocol.advance_many(state, rounds, rng)
+            protocol.advance_many(state, rounds, generator)
         return
     if state.scratch is None:
         state.scratch = ScratchBuffers()
@@ -256,25 +411,34 @@ def batched_advance(
             rounds=rounds,
             trials=state.trials,
         ):
-            kernel(protocol, state, rounds, rng, state.scratch, chunk)
+            kernel(protocol, state, rounds, streams, state.scratch, chunk)
     else:
-        kernel(protocol, state, rounds, rng, state.scratch, chunk)
+        kernel(protocol, state, rounds, streams, state.scratch, chunk)
 
 
 # -- closed-form protocols ----------------------------------------------------
 
 
-@register_kernel(ProofOfWork, NeoPoS, AlgorandPoS)
-def _advance_closed_form(protocol, state, rounds, rng, scratch, chunk):
-    """PoW/NEO (multinomial jump) and Algorand (deterministic jump)
-    already advance whole segments in O(1) dispatches; delegate."""
-    protocol.advance_many(state, rounds, rng)
+@register_kernel(ProofOfWork, NeoPoS)
+def _advance_multinomial_jump(protocol, state, rounds, streams, scratch, chunk):
+    """PoW/NEO: :meth:`ProofOfWork.advance_many`'s multinomial jump
+    (one draw per trial for the whole segment), split by row block."""
+    shares = state.stake_shares()
+    counts = streams.multinomial(rounds, shares)
+    state.rewards += protocol.reward * counts
+    state.round_index += rounds
+
+
+@register_kernel(AlgorandPoS)
+def _advance_algorand(protocol, state, rounds, streams, scratch, chunk):
+    """Algorand's deterministic multi-epoch jump draws nothing."""
+    protocol.advance_many(state, rounds, None)
 
 
 # -- proportional lottery on compounding stakes (the Polya urn) ---------------
 
 
-def _advance_polya_two(protocol, state, rounds, rng, scratch, chunk):
+def _advance_polya_two(protocol, state, rounds, streams, scratch, chunk):
     """ML-PoS two-miner fast path: the paper's headline configuration.
 
     Per round the naive loop pays ~12 dispatches plus allocations; this
@@ -301,7 +465,7 @@ def _advance_polya_two(protocol, state, rounds, rng, scratch, chunk):
     gain_b = scratch.get("polya2_gain_b", (trials,))
     gain_a = scratch.get("polya2_gain_a", (trials,))
     for block in _uniform_blocks(
-        rng, scratch, "polya2_draws", rounds, (trials,), chunk
+        streams, scratch, "polya2_draws", rounds, (trials,), chunk
     ):
         for draws in block:
             np.add(stake_a, stake_b, out=total)
@@ -318,7 +482,7 @@ def _advance_polya_two(protocol, state, rounds, rng, scratch, chunk):
     state.round_index += rounds
 
 
-def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
+def _advance_polya_many(protocol, state, rounds, streams, scratch, chunk):
     """ML-PoS general-miner path on a transposed ``(miners, trials)``
     layout, so reductions and cumulative sums run along contiguous
     memory (axis-1 ops on ``(trials, miners)`` arrays are strided and
@@ -362,7 +526,7 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
     trial_index = scratch.get("polya_trial_index", (trials,), np.intp)
     trial_index[...] = np.arange(trials)
     for block in _uniform_blocks(
-        rng, scratch, "polya_draws", rounds, (trials,), chunk
+        streams, scratch, "polya_draws", rounds, (trials,), chunk
     ):
         for draws in block:
             np.sum(stakes_t, axis=0, out=total)
@@ -380,13 +544,13 @@ def _advance_polya_many(protocol, state, rounds, rng, scratch, chunk):
     state.round_index += rounds
 
 
-def _advance_categorical(protocol, state, rounds, rng, scratch, chunk):
+def _advance_categorical(protocol, state, rounds, streams, scratch, chunk):
     """Semi-fused path for categorical lotteries with a per-round law
     that is cheapest to obtain from ``protocol.win_probabilities``
     (ML-PoS exact race, Filecoin's mixed mining power): batch the
     uniforms, keep the per-round law/credit calls verbatim."""
     for block in _uniform_blocks(
-        rng, scratch, "categorical_draws", rounds, (state.trials,), chunk
+        streams, scratch, "categorical_draws", rounds, (state.trials,), chunk
     ):
         for draws in block:
             winners = winners_from_uniforms(
@@ -397,17 +561,17 @@ def _advance_categorical(protocol, state, rounds, rng, scratch, chunk):
 
 
 @register_kernel(MultiLotteryPoS)
-def _advance_ml_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_ml_pos(protocol, state, rounds, streams, scratch, chunk):
     if protocol.exact_race:
-        _advance_categorical(protocol, state, rounds, rng, scratch, chunk)
+        _advance_categorical(protocol, state, rounds, streams, scratch, chunk)
     elif state.miners == 2:
-        _advance_polya_two(protocol, state, rounds, rng, scratch, chunk)
+        _advance_polya_two(protocol, state, rounds, streams, scratch, chunk)
     else:
-        _advance_polya_many(protocol, state, rounds, rng, scratch, chunk)
+        _advance_polya_many(protocol, state, rounds, streams, scratch, chunk)
 
 
 @register_kernel(FilecoinStorage)
-def _advance_filecoin(protocol, state, rounds, rng, scratch, chunk):
+def _advance_filecoin(protocol, state, rounds, streams, scratch, chunk):
     """Filecoin's mixed mining power, fused on the transposed layout.
 
     The storage term is bitwise-constant across an advance (storage
@@ -439,7 +603,7 @@ def _advance_filecoin(protocol, state, rounds, rng, scratch, chunk):
     columns = scratch.get("filecoin_columns", (miners, 1), np.int64)
     columns[...] = np.arange(miners)[:, None]
     for block in _uniform_blocks(
-        rng, scratch, "filecoin_draws", rounds, (trials,), chunk
+        streams, scratch, "filecoin_draws", rounds, (trials,), chunk
     ):
         for draws in block:
             np.sum(stakes_t, axis=0, out=total)
@@ -477,7 +641,7 @@ def _exponentiate_block(block: np.ndarray) -> None:
 
 
 def _advance_deadline_two(
-    protocol, state, rounds, rng, scratch, chunk, *, exponential: bool
+    protocol, state, rounds, streams, scratch, chunk, *, exponential: bool
 ):
     """Two-miner earliest-deadline fast path.
 
@@ -500,7 +664,7 @@ def _advance_deadline_two(
     gain_b = scratch.get("deadline2_gain_b", (trials,))
     gain_a = scratch.get("deadline2_gain_a", (trials,))
     for block in _uniform_blocks(
-        rng, scratch, "deadline_draws", rounds, (trials, 2), chunk
+        streams, scratch, "deadline_draws", rounds, (trials, 2), chunk
     ):
         if exponential:
             _exponentiate_block(block)
@@ -520,14 +684,14 @@ def _advance_deadline_two(
 
 
 def _advance_deadline(
-    protocol, state, rounds, rng, scratch, chunk, *, exponential: bool
+    protocol, state, rounds, streams, scratch, chunk, *, exponential: bool
 ):
     """SL-PoS (uniform deadlines) and FSL-PoS/Wave/Vixify (exponential
     deadlines): pre-draw ``(chunk, trials, miners)`` uniforms, compute
     deadlines in place, arg-min, credit via one-hot adds."""
     if state.miners == 2:
         _advance_deadline_two(
-            protocol, state, rounds, rng, scratch, chunk,
+            protocol, state, rounds, streams, scratch, chunk,
             exponential=exponential,
         )
         return
@@ -540,7 +704,7 @@ def _advance_deadline(
     columns = scratch.get("deadline_columns", (miners,), np.intp)
     columns[...] = np.arange(miners)
     for block in _uniform_blocks(
-        rng, scratch, "deadline_draws", rounds, (trials, miners), chunk
+        streams, scratch, "deadline_draws", rounds, (trials, miners), chunk
     ):
         if exponential:
             _exponentiate_block(block)
@@ -555,16 +719,16 @@ def _advance_deadline(
 
 
 @register_kernel(SingleLotteryPoS)
-def _advance_sl_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_sl_pos(protocol, state, rounds, streams, scratch, chunk):
     _advance_deadline(
-        protocol, state, rounds, rng, scratch, chunk, exponential=False
+        protocol, state, rounds, streams, scratch, chunk, exponential=False
     )
 
 
 @register_kernel(FairSingleLotteryPoS, WavePoS, VixifyPoS)
-def _advance_fsl_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_fsl_pos(protocol, state, rounds, streams, scratch, chunk):
     _advance_deadline(
-        protocol, state, rounds, rng, scratch, chunk, exponential=True
+        protocol, state, rounds, streams, scratch, chunk, exponential=True
     )
 
 
@@ -572,11 +736,11 @@ def _advance_fsl_pos(protocol, state, rounds, rng, scratch, chunk):
 
 
 @register_kernel(CompoundPoS)
-def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_c_pos(protocol, state, rounds, streams, scratch, chunk):
     """C-PoS epoch loop with scratch reuse.  The multinomial proposer
     draw depends on the evolving shares, so it stays a per-epoch
-    ``rng.multinomial`` call (same consumption as the naive loop); the
-    share/income arithmetic runs allocation-free."""
+    ``multinomial`` call per row block (same consumption as the naive
+    loop); the share/income arithmetic runs allocation-free."""
     trials, miners = state.trials, state.miners
     proposer_reward = protocol.proposer_reward
     inflation_reward = protocol.inflation_reward
@@ -588,7 +752,7 @@ def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
     for _ in range(rounds):
         np.sum(state.stakes, axis=1, keepdims=True, out=total)
         np.divide(state.stakes, total, out=shares)
-        shard_wins = rng.multinomial(shards, shares)
+        shard_wins = streams.multinomial(shards, shares)
         np.multiply(shard_wins, proposer_reward, out=income)
         np.divide(income, shards, out=income)
         np.multiply(shares, inflation_reward, out=inflation)
@@ -599,7 +763,7 @@ def _advance_c_pos(protocol, state, rounds, rng, scratch, chunk):
 
 
 @register_kernel(BlockGranularCompoundPoS)
-def _advance_c_pos_block(protocol, state, rounds, rng, scratch, chunk):
+def _advance_c_pos_block(protocol, state, rounds, streams, scratch, chunk):
     """Block-granular C-PoS: the committee CDF is frozen for a whole
     epoch, so it is computed once per epoch instead of once per block;
     proposer draws come from pre-drawn uniform blocks."""
@@ -619,7 +783,7 @@ def _advance_c_pos_block(protocol, state, rounds, rng, scratch, chunk):
     # committee shares before the first block either way.
     refresh_cdf = True
     for block in _uniform_blocks(
-        rng, scratch, "cposb_draws", rounds, (trials,), chunk
+        streams, scratch, "cposb_draws", rounds, (trials,), chunk
     ):
         for draws in block:
             position = state.round_index % shards
@@ -649,7 +813,7 @@ def _advance_c_pos_block(protocol, state, rounds, rng, scratch, chunk):
 
 
 @register_kernel(EOSDelegatedPoS)
-def _advance_eos(protocol, state, rounds, rng, scratch, chunk):
+def _advance_eos(protocol, state, rounds, streams, scratch, chunk):
     """EOS epochs are deterministic given the shares; no draws to
     batch, but the share/income arithmetic runs allocation-free on the
     transposed layout (contiguous reductions)."""
@@ -707,7 +871,7 @@ _WITHHOLD_SAMPLERS = {
 
 
 def _advance_withholding_proportional(
-    protocol, state, rounds, rng, scratch, chunk
+    protocol, state, rounds, streams, scratch, chunk
 ):
     """Fused path for withholding over a proportional inner lottery
     (ML-PoS, PoW, NEO — their win law is ``stake_shares`` of the
@@ -735,7 +899,7 @@ def _advance_withholding_proportional(
     columns = scratch.get("withhold_columns_t", (miners, 1), np.int64)
     columns[...] = np.arange(miners)[:, None]
     for block in _uniform_blocks(
-        rng, scratch, "withhold_draws", rounds, (trials,), chunk
+        streams, scratch, "withhold_draws", rounds, (trials,), chunk
     ):
         for draws in block:
             np.sum(stakes_t, axis=0, out=total)
@@ -758,13 +922,14 @@ def _advance_withholding_proportional(
 
 
 @register_kernel(RewardWithholding)
-def _advance_withholding(protocol, state, rounds, rng, scratch, chunk):
+def _advance_withholding(protocol, state, rounds, streams, scratch, chunk):
     """Vesting wrapper: batch the inner lottery's uniforms; replay the
     wrapper's credit/vesting logic round by round (vesting boundaries
     depend on the running round index)."""
     sampler = _WITHHOLD_SAMPLERS.get(type(protocol.inner))
     if sampler is None:
-        protocol.advance_many(state, rounds, rng)
+        # Not can_fuse: batched_advance only gets here with one block.
+        protocol.advance_many(state, rounds, streams.blocks[0][2])
         return
     layout, winner_fn = sampler
     if layout == "proportional":
@@ -773,7 +938,7 @@ def _advance_withholding(protocol, state, rounds, rng, scratch, chunk):
             layout, winner_fn = "trial", _withhold_winners_categorical
         else:
             _advance_withholding_proportional(
-                protocol, state, rounds, rng, scratch, chunk
+                protocol, state, rounds, streams, scratch, chunk
             )
             return
     trials, miners = state.trials, state.miners
@@ -786,7 +951,7 @@ def _advance_withholding(protocol, state, rounds, rng, scratch, chunk):
     columns = scratch.get("withhold_columns", (miners,), np.intp)
     columns[...] = np.arange(miners)
     for block in _uniform_blocks(
-        rng, scratch, "withhold_draws", rounds, round_shape, chunk
+        streams, scratch, "withhold_draws", rounds, round_shape, chunk
     ):
         for uniforms in block:
             winners = winner_fn(protocol.inner, state, uniforms)

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
-from scipy.special import betaln, gammaln
 
 from .._validation import (
     ensure_fraction,
@@ -106,8 +104,11 @@ class PolyaUrn:
             self.draw(rng)
         return self.white_draws - start
 
-    def limit_distribution(self) -> stats.rv_continuous:
-        """The almost-sure Beta limit of the white draw fraction."""
+    def limit_distribution(self):
+        """The almost-sure Beta limit of the white draw fraction (a
+        scipy.stats frozen distribution)."""
+        from scipy import stats
+
         return stats.beta(
             self.white / self.reinforcement, self.black / self.reinforcement
         )
@@ -130,6 +131,8 @@ def ml_pos_limit_distribution(share: float, reward: float):
     -------
     scipy.stats frozen distribution.
     """
+    from scipy import stats
+
     share = ensure_fraction("share", share)
     reward = ensure_positive_float("reward", reward)
     return stats.beta(share / reward, (1.0 - share) / reward)
@@ -177,6 +180,8 @@ def pow_fair_probability(share: float, n: int, epsilon: float) -> float:
     lower = math.ceil(n * (1.0 - epsilon) * share)
     if upper < lower:
         return 0.0
+    from scipy import stats
+
     distribution = stats.binom(n, share)
     return float(distribution.cdf(upper) - distribution.cdf(lower - 1))
 
@@ -215,6 +220,8 @@ def ml_pos_block_count_pmf(
     k = np.asarray(k, dtype=int)
     if np.any(k < 0) or np.any(k > n):
         raise ValueError("k must lie in [0, n]")
+    from scipy.special import betaln, gammaln
+
     alpha = share / reward
     beta = (1.0 - share) / reward
     log_choose = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)

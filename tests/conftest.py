@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.miners import Allocation
 from repro.core.results import merge_parts
-from repro.runtime.runner import _run_simulation_shard, _run_system_shard
+from repro.runtime.runner import _simulation_shard_body, _system_shard_body
 from repro.runtime.sharding import plan_shards
 from repro.runtime.spec import SystemSpec
 from repro.sim.rng import RandomSource
@@ -38,15 +38,16 @@ def five_miners() -> Allocation:
 
 
 def _hand_merge(spec, shards: int):
-    """Run every shard of ``spec``'s plan by hand, in plan order, and
-    ``merge_parts`` the collected list — the collect-then-merge
-    reference the runner's streaming fold must reproduce bit for bit."""
+    """Run every shard of ``spec``'s plan by hand, one at a time and in
+    plan order, and ``merge_parts`` the collected list — the
+    collect-then-merge reference the runner's fused groups and
+    streaming fold must reproduce bit for bit."""
     if isinstance(spec, SystemSpec):
-        total, run_shard = spec.repeats, _run_system_shard
+        total, run_shard = spec.repeats, _system_shard_body
     else:
-        total, run_shard = spec.trials, _run_simulation_shard
+        total, run_shard = spec.trials, _simulation_shard_body
     plan = plan_shards(total, spec.seed_sequence, min(total, shards))
-    return merge_parts([run_shard((spec, shard)) for shard in plan])
+    return merge_parts([run_shard(spec, shard) for shard in plan])
 
 
 @pytest.fixture(scope="session")

@@ -118,11 +118,20 @@ class TestTracedGridCoverage:
         by_name = {}
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
-        total_tasks = len(specs) * shard_count
+        # Each task is a fused group of one spec's shards: every task
+        # index shows up once per phase, and the groups' shard.run spans
+        # cover every shard of every plan exactly once.
+        (root,) = by_name["runner.run_many"]
+        total_tasks = root["attrs"]["tasks"]
+        assert len(specs) <= total_tasks <= len(specs) * shard_count
         for phase in ("shard.submit", "shard.run", "shard.complete",
                       "shard.merge"):
             tasks = sorted(s["attrs"]["task"] for s in by_name[phase])
             assert tasks == list(range(total_tasks)), phase
+        assert sum(s["attrs"]["shards"] for s in by_name["shard.run"]) == (
+            len(specs) * shard_count
+        )
+        assert root["attrs"]["shards"] == len(specs) * shard_count
         # One planning-time get (miss) and one store per spec.
         assert len(by_name["cache.get"]) == len(specs)
         assert all(not s["attrs"]["hit"] for s in by_name["cache.get"])
@@ -132,8 +141,6 @@ class TestTracedGridCoverage:
         assert all(
             s["attrs"]["mode"] == "batched" for s in by_name["kernel.advance"]
         )
-        (root,) = by_name["runner.run_many"]
-        assert root["attrs"]["tasks"] == total_tasks
 
     def test_uncached_grid_traces_every_phase(self, hand_merge):
         # Tracing must not perturb the merged bits: the traced grid

@@ -20,7 +20,7 @@ import pytest
 from repro.core.miners import Allocation
 from repro.obs.trace import NULL_TRACER, get_tracer
 from repro.protocols import MultiLotteryPoS
-from repro.sim.kernels import batched_advance, find_kernel
+from repro.sim.kernels import RowStreams, batched_advance, find_kernel
 from repro.sim.rng import RandomSource
 
 pytestmark = pytest.mark.perf
@@ -68,7 +68,10 @@ class TestDisabledTracerOverhead:
 
             state.scratch = ScratchBuffers()
             for _ in range(SEGMENTS):
-                kernel(protocol, state, ROUNDS, rng, state.scratch, None)
+                kernel(
+                    protocol, state, ROUNDS, RowStreams([(TRIALS, rng)]),
+                    state.scratch, None,
+                )
             return state
 
         # Same bits either way — the guard must be observationally

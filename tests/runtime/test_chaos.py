@@ -126,14 +126,18 @@ class TestChaosDifferential:
     def test_chaos_run_is_bit_identical(
         self, protocol, workers, backend, tmp_path
     ):
-        spec = make_spec(protocol)
-        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        # A task is a fused group of one spec's shards, so a lone spec
+        # on one worker is a single task; a small grid gives the
+        # schedule several tasks to sabotage on every backend.
+        specs = [make_spec(protocol, seed=seed) for seed in (7, 8, 9)]
+        reference = [ParallelRunner(workers=1).run(s, shards=4) for s in specs]
         runner = chaos_runner(
             tmp_path, f"{protocol}-{backend}-{workers}", workers, backend,
             fail_rate=0.4, corrupt_rate=0.3, delay_rate=0.3,
         )
-        chaotic = runner.run(spec, shards=4)
-        assert_byte_equal(chaotic, reference)
+        chaotic = runner.run_many(specs, shards=4)
+        for got, expected in zip(chaotic, reference):
+            assert_byte_equal(got, expected)
         assert runner.shards_retried > 0
 
     @pytest.mark.parametrize("workers,backend", BACKENDS)

@@ -38,10 +38,17 @@ def make_spec(trials=40, horizon=50, seed=7, protocol=None):
 
 
 class BombExecutor(SerialExecutor):
-    """Serial executor that permanently fails the given task indices."""
+    """Serial executor that permanently fails the given task indices.
 
-    def __init__(self, fail_indices):
+    It reports ``workers`` so the runner splits each spec into that
+    many fused groups (tasks): a lone 4-shard spec under ``workers=2``
+    runs as tasks ``(0, 1)`` and ``(2, 3)``, under ``workers=4`` as one
+    task per shard.  A failed task loses every shard it carried.
+    """
+
+    def __init__(self, fail_indices, workers=2):
         self.fail_indices = set(fail_indices)
+        self.workers = workers
 
     def stream(self, fn, tasks, *, window=None):
         for index, task in enumerate(list(tasks)):
@@ -136,8 +143,9 @@ class TestResume:
         cache_dir = tmp_path / "cache"
         journal_path = cache_dir / "journal.jsonl"
 
+        # Task 1 is the group of shards 2-3; shards 0-1 get journaled.
         interrupted = ParallelRunner(
-            executor=BombExecutor({2}), cache=cache_dir, journal=journal_path
+            executor=BombExecutor({1}), cache=cache_dir, journal=journal_path
         )
         with pytest.raises(ShardExecutionError):
             interrupted.run(spec, shards=4)
@@ -149,21 +157,23 @@ class TestResume:
         hits, misses = resumed.cache.hits, resumed.cache.misses
         result = resumed.run(spec, shards=4)
         assert_byte_equal(result, reference)
-        # Spec miss + 3 journaled shard hits; only shard 2 recomputed.
-        assert resumed.cache.hits - hits == 3
-        assert resumed.shards_resumed == 3
+        # Spec miss + 2 journaled shard hits; only the failed group's
+        # shards 2 and 3 recomputed.
+        assert resumed.cache.hits - hits == 2
+        assert resumed.shards_resumed == 2
 
     def test_finalized_spec_discards_shard_checkpoints(self, tmp_path):
         spec = make_spec()
         cache_dir = tmp_path / "cache"
         journal_path = cache_dir / "journal.jsonl"
         interrupted = ParallelRunner(
-            executor=BombExecutor({2}), cache=cache_dir, journal=journal_path
+            executor=BombExecutor({1}), cache=cache_dir, journal=journal_path
         )
         with pytest.raises(ShardExecutionError):
             interrupted.run(spec, shards=4)
         interrupted.journal.close()
-        assert len(list(cache_dir.glob("*.npz"))) == 3  # shard checkpoints
+        # Checkpoints of the surviving group's shards 0 and 1.
+        assert len(list(cache_dir.glob("*.npz"))) == 2
 
         resumed = ParallelRunner(
             workers=1, cache=cache_dir, journal=journal_path
@@ -182,7 +192,7 @@ class TestResume:
         cache_dir = tmp_path / "resumed"
         journal_path = cache_dir / "journal.jsonl"
         interrupted = ParallelRunner(
-            executor=BombExecutor({1, 3}), cache=cache_dir,
+            executor=BombExecutor({1, 3}, workers=4), cache=cache_dir,
             journal=journal_path,
         )
         with pytest.raises(ShardExecutionError):
@@ -201,8 +211,10 @@ class TestResume:
         reference = ParallelRunner(workers=1).run(spec, shards=4)
         cache_dir = tmp_path / "cache"
         journal_path = cache_dir / "journal.jsonl"
+        # One shard per task: task 2 loses shard 2 only.
         interrupted = ParallelRunner(
-            executor=BombExecutor({2}), cache=cache_dir, journal=journal_path
+            executor=BombExecutor({2}, workers=4), cache=cache_dir,
+            journal=journal_path,
         )
         with pytest.raises(ShardExecutionError):
             interrupted.run(spec, shards=4)
@@ -261,8 +273,10 @@ class TestResume:
         ]
         cache_dir = tmp_path / "cache"
         journal_path = cache_dir / "journal.jsonl"
+        # Two groups of two shards per spec (tasks 0-1, then 2-3):
+        # fail the second group of spec 0 and the first of spec 1.
         interrupted = ParallelRunner(
-            executor=BombExecutor({1, 6}),  # one shard of each spec
+            executor=BombExecutor({1, 2}, workers=4),
             cache=cache_dir,
             journal=journal_path,
         )
@@ -276,7 +290,7 @@ class TestResume:
         results = resumed.run_many(specs, shards=4)
         for result, expected in zip(results, reference):
             assert_byte_equal(result, expected)
-        assert resumed.shards_resumed == 6
+        assert resumed.shards_resumed == 4
 
     def test_journal_path_coercion_from_string(self, tmp_path):
         cache_dir = tmp_path / "cache"

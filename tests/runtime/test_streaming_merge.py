@@ -284,9 +284,12 @@ class TestStreamContractGuard:
                         continue  # silently lose task 1
                     yield item
 
+        # Three specs are at least three tasks (a task never spans
+        # specs); one lone spec would be a single fused group.
         runner = ParallelRunner(executor=DroppingExecutor())
+        specs = [make_spec(seed=seed) for seed in (4, 5, 6)]
         with pytest.raises(RuntimeError, match="yielded 2 of 3 tasks"):
-            runner.run(make_spec(seed=4), shards=3)
+            runner.run_many(specs, shards=3)
 
 
 def _peak_bytes(fn):

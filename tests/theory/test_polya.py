@@ -1,7 +1,14 @@
 """Tests for repro.theory.polya (urn limits, exact PMFs)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.theory.polya import (
     PolyaUrn,
@@ -142,3 +149,27 @@ class TestBlockCountPMF:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             ml_pos_block_count_pmf(0.2, 0.01, 10, np.array([11]))
+
+
+class TestLazyScipy:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy.stats costs most of a second to import; the theory
+        # functions import it on first use, so starting the CLI (and
+        # every warm-cache run) never pays for it.  A fresh interpreter,
+        # since this test session may have imported scipy already.
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.experiments.runner; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_scipy_backed_functions_still_work(self):
+        assert ml_pos_limit_distribution(0.2, 0.01).mean() == pytest.approx(0.2)
+        assert 0.0 < pow_fair_probability(0.2, 100, 0.1) < 1.0
