@@ -47,9 +47,9 @@ Demonstrates the ways to use the runtime layer:
    flaky task errors, hung workers, crashed worker processes — are
    retried with deterministic backoff, per-shard deadlines abandon or
    kill stuck workers (respawning dead pools, degrading to serial with
-   a loud warning only when a pool is unrecoverable), and a JSONL
-   journal next to the cache checkpoints per-spec shard completion so
-   a killed grid resumes recomputing only what was never journaled.
+   a loud warning only when a pool is unrecoverable), and checkpoints
+   in the cache (one per finished shard, kept until its spec merges)
+   let a killed grid resume recomputing only what never finished.
    Doctrine: retry/timeout/resume knobs never enter cache
    fingerprints, and backoff jitter is SHA-256-derived (no RNG) — a
    run that survived faults is bit-identical to one that never saw
@@ -66,7 +66,7 @@ Demonstrates the ways to use the runtime layer:
     silently deleted) and the slot recomputes bit-identically; a
     full disk degrades the cache to pass-through behind a loud
     warning instead of failing the run; ``repro-fsck --repair``
-    scans and heals a cache+journal tree offline,
+    scans and heals a cache tree offline,
 
 12. sufficient-statistics ensembles (``reduce="stats"``, the CLI's
     ``--reduce stats``): shards fold straight into mergeable moments,
@@ -344,9 +344,10 @@ def main() -> None:
     # 9. Fault tolerance: wrap an executor in seeded chaos — injected
     #    transient failures, corrupt payloads, delays — and a retry
     #    policy absorbs every fault while the merged bits stay
-    #    identical to a run that never failed.  The journal makes a
-    #    killed grid resumable: rerunning with the same cache+journal
-    #    recomputes only unjournaled shards.  This is what
+    #    identical to a run that never failed.  Under resume, every
+    #    finished shard is a checkpoint in the cache until its spec
+    #    merges, so rerunning a killed grid with the same cache
+    #    recomputes only shards without a checkpoint.  This is what
     #    `repro-experiments fig2 --workers 4 --cache DIR --retries 3
     #    --shard-timeout 300 --resume` does.
     from repro.runtime import ChaosExecutor, ChaosSchedule, make_executor
@@ -360,7 +361,7 @@ def main() -> None:
         chaotic_runner = ParallelRunner(
             executor=ChaosExecutor(inner, schedule),
             cache=os.path.join(root, "cache"),
-            journal=os.path.join(root, "cache", "journal.jsonl"),
+            resume=True,
         )
         survived = chaotic_runner.run(spec, shards=4)
         identical = np.array_equal(
@@ -373,10 +374,10 @@ def main() -> None:
         resumed_runner = ParallelRunner(
             workers=1,
             cache=os.path.join(root, "cache"),
-            journal=os.path.join(root, "cache", "journal.jsonl"),
+            resume=True,
         )
         resumed_runner.run(spec, shards=4)
-        print(f"rerun with the same cache+journal: "
+        print(f"rerun with the same cache: "
               f"{resumed_runner.cache.hits} cache hit(s) — "
               f"nothing recomputed")
 
@@ -408,8 +409,8 @@ def main() -> None:
     #     verify-on-read gate quarantines it (evidence preserved under
     #     <cache>/quarantine/, never served) and the next run
     #     recomputes the identical bytes.  `repro-fsck --repair` does
-    #     the same scan offline — plus digest adoption, orphan sweeps
-    #     and journal compaction — and exits 0 only when the tree
+    #     the same scan offline — plus digest adoption and orphan
+    #     sweeps — and exits 0 only when the tree
     #     re-scans clean.
     from repro.runtime.cache import ResultCache
     from repro.runtime.integrity import fsck

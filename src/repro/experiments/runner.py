@@ -155,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="journal per-spec shard completion to "
-        "<cache>/journal.jsonl and, on rerun, recompute only "
-        "unjournaled shards — resuming a killed grid.  Requires "
-        "--cache; never changes results or cache keys",
+        help="keep every finished shard as a checkpoint in the "
+        "cache until its cell merges and, on rerun, recompute only "
+        "shards without a valid checkpoint — resuming a killed grid.  "
+        "Requires --cache; never changes results or cache keys",
     )
     parser.add_argument(
         "--trace",
@@ -319,12 +319,6 @@ def _build_runtime(args) -> Optional[ParallelRunner]:
         cache = ResultCache(
             cache, max_bytes=budget, verify=not args.no_verify
         )
-    journal = None
-    if args.resume:
-        cache_dir = getattr(cache, "directory", None) or pathlib.Path(
-            args.cache
-        )
-        journal = pathlib.Path(cache_dir) / "journal.jsonl"
     try:
         return ParallelRunner(
             workers=args.workers,
@@ -333,7 +327,7 @@ def _build_runtime(args) -> Optional[ParallelRunner]:
             progress=_ShardProgress(),
             retry=args.retries,
             timeout=args.shard_timeout,
-            journal=journal,
+            resume=args.resume,
             reduce=args.reduce,
         )
     except ValueError as error:

@@ -45,10 +45,8 @@ EXECUTION_KNOBS: FrozenSet[str] = frozenset({
     "retry",        # fault-tolerance: retry policy
     "retries",      # fault-tolerance: CLI spelling of the same knob
     "timeout",      # fault-tolerance: per-shard deadline
-    "resume",       # fault-tolerance: journal-driven resume
-    "journal",      # fault-tolerance: journal sidecar
+    "resume",       # fault-tolerance: resume from cache checkpoints
     "verify",       # integrity: digest verification on cache reads
-    "compact_bytes",  # integrity: journal auto-compaction threshold
 })
 
 #: Attribute names that change the produced bytes (physics knobs)
@@ -114,7 +112,6 @@ FINGERPRINTED_CLASS_MODULES: Tuple[str, ...] = (
 #: state grows a lock there, the rule engages without a config change.
 LOCK_MODULES: Tuple[str, ...] = (
     "repro/runtime/cache.py",
-    "repro/runtime/journal.py",
     "repro/runtime/executor.py",
     "repro/runtime/runner.py",
     "repro/runtime/integrity.py",
@@ -133,10 +130,6 @@ LOCK_GUARDED: Dict[str, Tuple[str, FrozenSet[str]]] = {
     "ResultCache": ("_stats_lock", frozenset({
         "hits", "misses", "evictions", "quarantined", "io_errors",
         "degraded", "_approx_bytes",
-    })),
-    "RunJournal": ("_lock", frozenset({
-        "_shards", "_specs", "_handle", "_lines_total", "degraded",
-        "compactions",
     })),
     "DiskChaos": ("_lock", frozenset({"hits", "_counts", "_total"})),
     "MetricsRegistry": ("_lock", frozenset({
@@ -182,7 +175,6 @@ SWALLOW_MODULES: Tuple[str, ...] = (
 #: are exempt.
 STORAGE_MODULES: Tuple[str, ...] = (
     "repro/runtime/cache.py",
-    "repro/runtime/journal.py",
     "repro/runtime/integrity.py",
     "repro/runtime/diskchaos.py",
 )

@@ -1,8 +1,8 @@
 """LCK: shared mutable state must be written under its owning lock.
 
 The threads backend hits :class:`~repro.runtime.cache.ResultCache`
-counters, the metrics registry and the run journal from every pool
-thread at once; an unlocked read-modify-write there loses updates
+counters, the metrics registry and the runner's tallies from every
+pool thread at once; an unlocked read-modify-write there loses updates
 silently.  Two rules enforce the discipline statically:
 
 * **LCK001** — inside a lock-owning class, writes to guarded

@@ -13,7 +13,8 @@ spec
 sharding
     Deterministic splitting of a spec into per-worker shards whose
     seeds derive from :meth:`RandomSource.spawn`, so the merged result
-    is bit-identical for any worker count given a fixed shard plan.
+    is bit-identical for any worker count given a fixed shard plan;
+    :func:`shard_fingerprint` names each shard's resume checkpoint.
 executor
     The :class:`Executor` protocol with serial, :mod:`multiprocessing`
     and thread-pool backends (threads suit the GIL-releasing batched
@@ -28,6 +29,10 @@ runner
     a bounded :class:`ReorderBuffer`), capping in-flight shard results
     at ``O(workers)`` while staying bit-identical to
     :func:`~repro.core.results.merge_parts` over the full shard list.
+    Under ``resume`` (CLI ``--resume``) every finished shard is kept as
+    a checkpoint in the cache (``<spec>.<n>.npz``) until its spec
+    merges, so an interrupted grid resumes recomputing only shards
+    without a valid checkpoint.
 context
     An ambient default runtime consulted by the experiment layer so
     ``--workers``/``--cache`` flags reach every figure without
@@ -39,11 +44,6 @@ faults
     killed under a per-shard ``timeout``, dead pools respawn, and
     unrecoverable pools degrade to serial with a loud warning — all
     with bit-identical results.
-journal
-    :class:`RunJournal` — the JSONL sidecar that checkpoints per-spec
-    shard completion (artifacts live in the cache), so an interrupted
-    grid resumes (CLI ``--resume``) recomputing only unjournaled
-    shards.
 chaos
     :class:`ChaosExecutor` — seeded, deterministic fault injection
     (failures, delays, hangs, corrupt payloads, worker crashes) for
@@ -89,10 +89,16 @@ from .faults import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from .journal import RunJournal, shard_fingerprint
 from ..core.results import MergeAccumulator
 from .runner import ParallelRunner, ReorderBuffer
-from .sharding import DEFAULT_SHARD_COUNT, Shard, ShardPlan, plan_shards, split_evenly
+from .sharding import (
+    DEFAULT_SHARD_COUNT,
+    Shard,
+    ShardPlan,
+    plan_shards,
+    shard_fingerprint,
+    split_evenly,
+)
 from .spec import SimulationSpec, SystemSpec, spec_fingerprint
 
 __all__ = [
@@ -109,7 +115,6 @@ __all__ = [
     "using_disk_chaos",
     "PoolDegradedWarning",
     "RetryPolicy",
-    "RunJournal",
     "ShardFailure",
     "TransientShardError",
     "WorkerCrashError",

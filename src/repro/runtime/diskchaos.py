@@ -1,8 +1,8 @@
 """Deterministic storage-fault injection for the durable layer.
 
 Where :mod:`repro.runtime.chaos` sabotages *compute* (task failures,
-hangs, worker crashes), this module sabotages *storage*: the cache and
-journal announce every write/fsync/rename boundary through
+hangs, worker crashes), this module sabotages *storage*: the cache announces every
+write/fsync/rename boundary through
 :func:`crashpoint`, and an active :class:`DiskChaos` controller can
 turn any of those announcements into a torn write, a failed fsync, a
 full disk, or a hard crash.
@@ -21,8 +21,8 @@ applies:
 ``KeyboardInterrupt``) so it tears through the storage layer's
 ``except OSError`` / ``except Exception`` recovery paths exactly as a
 ``kill -9`` would: nothing may catch and "handle" a crash, and any
-debris it leaves (torn staging files, half-appended journal lines) is
-what recovery must cope with.
+debris it leaves (torn staging files, half-written digest sidecars,
+undiscarded checkpoints) is what recovery must cope with.
 
 The controller is deliberately process-global rather than thread-local:
 a threads-backend run writes the cache from every pool thread, and all

@@ -68,13 +68,13 @@ from .executor import (
     make_executor,
 )
 from .faults import RetryPolicy
-from .journal import RunJournal, shard_fingerprint
 from .sharding import (
     DEFAULT_SHARD_COUNT,
     Shard,
     ShardPlan,
     plan_shards,
     pristine_sequence,
+    shard_fingerprint,
     split_evenly,
 )
 from .spec import SimulationSpec, SystemSpec, spec_fingerprint
@@ -149,9 +149,9 @@ class ReorderBuffer:
 class _Pending(NamedTuple):
     """One uncached spec of a dispatch: which tasks carry its shards,
     which plan ordinals each task runs, and where its merged result
-    goes.  With a journal, shards recovered from a prior (interrupted)
-    run ride along as ``preloaded`` and are *not* dispatched — the
-    merge interleaves both sources in plan order."""
+    goes.  Under ``resume``, shards recovered from the checkpoints of a
+    prior (interrupted) run ride along as ``preloaded`` and are *not*
+    dispatched — the merge interleaves both sources in plan order."""
 
     position: int  # slot in the caller's result list
     key: Optional[str]  # cache fingerprint, None when caching is off
@@ -392,15 +392,17 @@ class ParallelRunner:
         failure classifies as a retryable
         :class:`~repro.runtime.faults.WorkerTimeoutError`, and an
         unrecoverable pool degrades to serial with a warning.
-    journal:
-        A :class:`~repro.runtime.journal.RunJournal` (or a path to
-        one); requires a cache.  Completed shards are checkpointed as
-        cache artifacts and journaled as their task returns, so an
-        interrupted grid resumes — recomputing only unjournaled shards,
-        which is every shard of a task that failed or never ran — by
-        re-running with the same journal.  None of ``retry``,
-        ``timeout`` or ``journal`` enters cache fingerprints: a
-        fault-tolerant run shares its artifacts with a plain one.
+    resume:
+        Checkpoint every completed shard in the cache (requires one)
+        under :func:`~repro.runtime.sharding.shard_fingerprint` as its
+        task returns, and load the checkpoints a prior run left before
+        dispatching — so an interrupted grid resumes, recomputing only
+        shards without a valid checkpoint (every shard of a task that
+        failed or never ran), by re-running with the same cache.  A
+        finalized spec's merged artifact supersedes its checkpoints,
+        which are then discarded.  None of ``retry``, ``timeout`` or
+        ``resume`` enters cache fingerprints: a fault-tolerant run
+        shares its artifacts with a plain one.
     reduce:
         Ambient default for the specs this runner *builds* (grid
         helpers, :meth:`run_system`): ``"full"`` keeps whole
@@ -434,7 +436,7 @@ class ParallelRunner:
         backend: str = "processes",
         retry: Union[RetryPolicy, int, None] = None,
         timeout: Optional[float] = None,
-        journal: Union[RunJournal, str, pathlib.Path, None] = None,
+        resume: bool = False,
         reduce: str = "full",
     ) -> None:
         if executor is not None and (retry is not None or timeout is not None):
@@ -453,15 +455,12 @@ class ParallelRunner:
             self.cache = cache
         else:
             self.cache = ResultCache(cache)
-        if journal is None or isinstance(journal, RunJournal):
-            self.journal = journal
-        else:
-            self.journal = RunJournal(journal)
-        if self.journal is not None and self.cache is None:
+        if resume and self.cache is None:
             raise ValueError(
-                "journal requires a cache: resume checkpoints are stored "
+                "resume requires a cache: shard checkpoints are stored "
                 "as cache artifacts"
             )
+        self.resume = bool(resume)
         self.default_shards = shards
         self.progress = progress
         # Ambient default for spec builders (the experiments grid
@@ -475,7 +474,7 @@ class ParallelRunner:
         self._retry_lock = threading.Lock()
         #: Retry attempts consumed across this runner's dispatches.
         self.shards_retried = 0
-        #: Shards recovered from journal checkpoints instead of dispatched.
+        #: Shards recovered from cache checkpoints instead of dispatched.
         self.shards_resumed = 0
         try:
             # Tally retries (and forward them to progress callbacks that
@@ -646,9 +645,8 @@ class ParallelRunner:
         from grouping — each task holds one shard.
         """
         merged: List[Optional[EnsembleResult]] = [None] * len(entries)
-        # (position, key, spec, plan shards, dispatched ordinals, preloaded)
         # Uncached specs: (position, key, spec, plan, ordinals to
-        # dispatch, journal-preloaded parts).
+        # dispatch, checkpoint-preloaded parts).
         work: List[Tuple[int, Optional[str], Any, ShardPlan,
                          Tuple[int, ...], Tuple[Tuple[int, Any], ...]]] = []
         first_pending: dict = {}
@@ -675,16 +673,16 @@ class ParallelRunner:
                 if cached is not None:
                     merged[position] = cached
                     continue
-                if self.journal is not None:
-                    # Resume: shards an interrupted run journaled load
-                    # from their checkpoint artifacts instead of
-                    # dispatching.  The journal is advisory — a
-                    # journaled shard whose artifact was evicted (the
-                    # get counts a miss) simply recomputes.
+                if self.resume:
+                    # Shards an interrupted run checkpointed load from
+                    # the cache instead of dispatching.  The existence
+                    # probe keeps a fresh run's miss count unchanged;
+                    # the get verifies the digest, so a torn or corrupt
+                    # checkpoint is quarantined and recomputes.
                     recovered: Dict[int, Any] = {}
-                    journaled = self.journal.completed_shards(key)
-                    for ordinal, shard_key in journaled.items():
-                        if not 0 <= ordinal < len(plan):
+                    for ordinal in range(len(plan)):
+                        shard_key = shard_fingerprint(key, ordinal)
+                        if shard_key not in self.cache:
                             continue
                         part = self.cache.get(shard_key)
                         if part is not None:
@@ -701,15 +699,13 @@ class ParallelRunner:
                                 len(recovered)
                             )
                     if not ordinals:
-                        # Every shard was journaled: finalize without
+                        # Every shard was checkpointed: finalize without
                         # dispatching anything.
                         result = merge_parts(
                             [part for _, part in preloaded]
                         )
                         self.cache.put(key, result)
-                        self.journal.record_spec(key)
-                        for ordinal in range(len(plan)):
-                            self.cache.discard(shard_fingerprint(key, ordinal))
+                        self._discard_checkpoints(key, len(plan))
                         merged[position] = result
                         continue
                 first_pending[key] = position
@@ -764,22 +760,11 @@ class ParallelRunner:
             merged[position] = loaded if loaded is not None else merged[original]
         return merged
 
-    def _journal_shard(self, entry: _Pending, ordinal: int, part) -> None:
-        """Checkpoint one completed shard for resume: artifact + record."""
-        if self.journal is None or entry.key is None:
-            return
-        shard_key = shard_fingerprint(entry.key, ordinal)
-        self.cache.put(shard_key, part)
-        self.journal.record_shard(entry.key, ordinal, shard_key)
-
-    def _journal_spec_done(self, entry: _Pending) -> None:
-        """Journal a finalized spec and drop its shard checkpoints (the
-        merged artifact supersedes them)."""
-        if self.journal is None or entry.key is None:
-            return
-        self.journal.record_spec(entry.key)
-        for ordinal in range(entry.shards):
-            self.cache.discard(shard_fingerprint(entry.key, ordinal))
+    def _discard_checkpoints(self, key: str, shards: int) -> None:
+        """Drop a finalized spec's shard checkpoints (its merged
+        artifact, already stored, supersedes them)."""
+        for ordinal in range(shards):
+            self.cache.discard(shard_fingerprint(key, ordinal))
 
     def _fold_streamed(self, tasks, pending, shard_fn, merged, total) -> None:
         """Fold shard results in plan order as their tasks complete.
@@ -803,12 +788,12 @@ class ParallelRunner:
         outcome exactly once, however many retry attempts its task
         took.
 
-        With a journal, shards recovered from a prior run (``entry
+        Under ``resume``, shards recovered from a prior run (``entry
         .preloaded``) interleave with dispatched completions at their
-        plan ordinals, and every fresh shard is checkpointed (artifact
-        + journal record) the moment its task returns — including
-        shards of specs already poisoned by a failure, so an aborted
-        grid leaves the maximum behind for ``--resume``.
+        plan ordinals, and every fresh shard is checkpointed in the
+        cache the moment its task returns — including shards of specs
+        already poisoned by a failure, so an aborted grid leaves the
+        maximum behind for ``--resume``.
         """
         owner: Dict[int, int] = {}
         for slot, entry in enumerate(pending):
@@ -817,7 +802,7 @@ class ParallelRunner:
         accumulators: List[Optional[MergeAccumulator]] = [None] * len(pending)
         # Per-slot plan-order fold state: `cursors` is the next ordinal
         # to fold, `staged` maps ordinal -> result for parts that cannot
-        # fold yet (journal preloads ahead of the dispatched cursor).
+        # fold yet (checkpoint preloads ahead of the dispatched cursor).
         cursors = [0] * len(pending)
         staged: List[Dict[int, Any]] = [
             dict(entry.preloaded) for entry in pending
@@ -860,7 +845,8 @@ class ParallelRunner:
                 accumulators[slot] = None
                 if entry.key is not None:
                     self.cache.put(entry.key, result)
-                    self._journal_spec_done(entry)
+                    if self.resume:
+                        self._discard_checkpoints(entry.key, entry.shards)
                 merged[entry.position] = result
 
         for slot in range(len(pending)):
@@ -895,9 +881,12 @@ class ParallelRunner:
             else:
                 for ordinal, part in zip(group, item):
                     # Checkpoint before folding: even shards of a spec
-                    # that already failed are worth journaling — resume
+                    # that already failed are worth keeping — resume
                     # will not recompute them.
-                    self._journal_shard(entry, ordinal, part)
+                    if self.resume:
+                        self.cache.put(
+                            shard_fingerprint(entry.key, ordinal), part
+                        )
                     if not poisoned[slot]:
                         staged[slot][ordinal] = part
                 advance(slot, task_index)

@@ -29,8 +29,10 @@ __all__ = [
     "DEFAULT_SHARD_COUNT",
     "Shard",
     "ShardPlan",
+    "checkpoint_spec_key",
     "plan_shards",
     "pristine_sequence",
+    "shard_fingerprint",
     "split_evenly",
 ]
 
@@ -132,3 +134,23 @@ def plan_shards(
         for i, (size, child) in enumerate(zip(sizes, children))
     )
     return ShardPlan(shards=shards, total=total)
+
+
+def shard_fingerprint(spec_key: str, ordinal: int) -> str:
+    """The cache key a spec's ``ordinal``-th plan shard is checkpointed under.
+
+    ``<spec_key>.<ordinal>``: the spec fingerprint covers the shard
+    count, so checkpoints never collide across specs or across plans of
+    different granularity, and a spec key (64 hex digits, no dot) is
+    readable straight off a checkpoint's file name.
+    """
+    if ordinal < 0:
+        raise ValueError(f"ordinal must be non-negative, got {ordinal}")
+    return f"{spec_key}.{ordinal}"
+
+
+def checkpoint_spec_key(key: str) -> Optional[str]:
+    """The spec key a :func:`shard_fingerprint` key belongs to, or None
+    when ``key`` names no shard checkpoint."""
+    spec_key, _, ordinal = key.rpartition(".")
+    return spec_key if spec_key and ordinal.isdigit() else None

@@ -11,7 +11,7 @@ layout, readable by every prior release) and ``reduce="stats"``
 :class:`~repro.core.stats.StatsSummary` sketch state, marked by a
 ``kind`` field in the metadata record.  Both round-trip bit-identically
 — ``.npz`` stores the arrays verbatim — which is what lets the result
-cache and the resume journal treat either kind as shard currency.
+cache and its resume checkpoints treat either kind as shard currency.
 """
 
 from __future__ import annotations

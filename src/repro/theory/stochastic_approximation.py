@@ -266,6 +266,31 @@ class StochasticApproximation:
             trajectory[i] = self.advance(rng)
         return trajectory
 
+    def run_many(
+        self, n: int, trajectories: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Run ``n`` steps of ``trajectories`` independent copies at once.
+
+        Every copy starts from the current state and follows the same
+        recursion as :meth:`advance`, vectorised: one
+        ``rng.random(trajectories)`` per step and the same clip to
+        ``[0, 1]``.  ``win_probability`` must accept arrays.  The
+        process's own state is left untouched.  Returns the shares as
+        an ``(n, trajectories)`` array; with ``trajectories=1`` its only
+        column equals :meth:`run` on the same generator bit for bit.
+        """
+        n = ensure_positive_int("n", n)
+        trajectories = ensure_positive_int("trajectories", trajectories)
+        shares = np.full(trajectories, self.share)
+        out = np.empty((n, trajectories))
+        for i in range(n):
+            p = np.asarray(self.win_probability(shares), dtype=float)
+            won = (rng.random(trajectories) < p).astype(float)
+            gamma = self.step_size(self.step + i + 1)
+            shares = np.clip(shares + gamma * (won - shares), 0.0, 1.0)
+            out[i] = shares
+        return out
+
 
 def sl_pos_stochastic_approximation(
     share: float, reward: float

@@ -133,17 +133,20 @@ class TestFaultToleranceCLI:
         with pytest.raises(SystemExit, match="--resume requires --cache"):
             main(["fig1", "--preset", "ci", "--workers", "2", "--resume"])
 
-    def test_resume_places_the_journal_beside_the_cache(self, tmp_path):
+    def test_resume_flag_enables_checkpoints_in_the_cache(self, tmp_path):
         from repro.experiments.runner import _build_runtime
-        from repro.runtime import RunJournal
 
         cache_dir = tmp_path / "cache"
         args = build_parser().parse_args([
             "fig1", "--preset", "ci", "--cache", str(cache_dir), "--resume",
         ])
         runner = _build_runtime(args)
-        assert isinstance(runner.journal, RunJournal)
-        assert runner.journal.path == cache_dir / "journal.jsonl"
+        assert runner.resume is True
+        assert runner.cache.directory == cache_dir
+        plain = _build_runtime(build_parser().parse_args([
+            "fig1", "--preset", "ci", "--cache", str(cache_dir),
+        ]))
+        assert plain.resume is False
 
     def test_main_runs_with_retries_and_resume(self, tmp_path, capsys):
         code = main([
@@ -152,7 +155,10 @@ class TestFaultToleranceCLI:
         ])
         assert code == 0
         assert "Figure 2" in capsys.readouterr().out
-        assert (tmp_path / "cache" / "journal.jsonl").exists()
+        # Every cell merged, so only merged artifacts remain: no
+        # checkpoint (``<spec>.<n>.npz``) outlives its spec.
+        names = [p.stem for p in (tmp_path / "cache").glob("*.npz")]
+        assert names and all("." not in name for name in names)
 
     def test_shard_progress_renders_a_retry_tally(self):
         import io

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.miners import Allocation
 from repro.protocols import MultiLotteryPoS, ProofOfWork
-from repro.runtime import RunJournal, shard_fingerprint
+from repro.runtime import shard_fingerprint
 from repro.runtime.cache import ResultCache
 from repro.runtime.integrity import (
     QUARANTINE_DIR,
@@ -306,90 +306,89 @@ class TestFsck:
         assert live.exists()
 
 
-class TestFsckJournal:
-    def _journaled_cache(self, tmp_path, result):
+class TestFsckOrphanedCheckpoints:
+    def _checkpointed_cache(self, tmp_path, result):
+        """A spec's merged artifact plus the shard checkpoints a crash
+        between its put and the runner's discard leaves behind."""
         cache = ResultCache(tmp_path / "cache")
-        jpath = cache.directory / "journal.jsonl"
         spec = "5" * 64
         shard_keys = [shard_fingerprint(spec, n) for n in range(2)]
-        with RunJournal(jpath, compact_bytes=None) as journal:
-            for ordinal, key in enumerate(shard_keys):
-                cache.put(key, result)
-                journal.record_shard(spec, ordinal, key)
-            cache.put(spec, result)
-            journal.record_spec(spec)
-        return cache, jpath, spec, shard_keys
+        for key in shard_keys:
+            cache.put(key, result)
+        cache.put(spec, result)
+        return cache, spec, shard_keys
 
     def test_orphaned_checkpoints_are_evicted_under_repair(
         self, tmp_path, result
     ):
-        # A crash between record_spec and the runner's checkpoint
-        # discard pins the per-shard artifacts forever.
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
-        )
-        report = fsck(cache.directory, journal=jpath)
+        cache, spec, shard_keys = self._checkpointed_cache(tmp_path, result)
+        report = fsck(cache.directory)
         assert sorted(report.orphaned_checkpoints) == sorted(shard_keys)
         assert not report.clean
-        fsck(cache.directory, journal=jpath, repair=True)
+        fsck(cache.directory, repair=True)
         for key in shard_keys:
             assert not (cache.directory / f"{key}.npz").exists()
+            assert read_digest(cache.directory, key) is None
         assert (cache.directory / f"{spec}.npz").exists()
-        assert fsck(cache.directory, journal=jpath).clean
+        assert fsck(cache.directory).clean
 
     def test_discarded_checkpoints_read_clean(self, tmp_path, result):
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
-        )
+        cache, spec, shard_keys = self._checkpointed_cache(tmp_path, result)
         for key in shard_keys:
             cache.discard(key)
-        report = fsck(cache.directory, journal=jpath)
+        report = fsck(cache.directory)
         assert report.orphaned_checkpoints == []
         assert report.clean
 
-    def test_incomplete_spec_with_evicted_shard_is_missing_not_issue(
+    def test_checkpoints_of_an_unfinished_spec_are_not_orphans(
+        self, tmp_path, result
+    ):
+        # Resume state of an interrupted run: no merged artifact yet.
+        cache = ResultCache(tmp_path / "cache")
+        spec = "6" * 64
+        cache.put(shard_fingerprint(spec, 0), result)
+        report = fsck(cache.directory)
+        assert report.orphaned_checkpoints == []
+        assert report.clean
+
+    def test_orphan_is_found_by_name_alone(self, tmp_path, result):
+        # A copy of the merged artifact planted under a checkpoint name
+        # (what the CI smoke does) is an orphan like any other.
+        cache = ResultCache(tmp_path / "cache")
+        spec = "7" * 64
+        path = cache.put(spec, result)
+        planted = cache.directory / f"{shard_fingerprint(spec, 0)}.npz"
+        planted.write_bytes(path.read_bytes())
+        report = fsck(cache.directory)
+        assert report.orphaned_checkpoints == [shard_fingerprint(spec, 0)]
+        assert report.missing_sums == [shard_fingerprint(spec, 0)]
+        fsck(cache.directory, repair=True)
+        assert not planted.exists()
+        assert fsck(cache.directory).clean
+
+    def test_dotted_names_that_are_not_checkpoints_are_left_alone(
         self, tmp_path, result
     ):
         cache = ResultCache(tmp_path / "cache")
-        jpath = cache.directory / "journal.jsonl"
-        spec = "6" * 64
-        key = shard_fingerprint(spec, 0)
-        with RunJournal(jpath, compact_bytes=None) as journal:
-            cache.put(key, result)
-            journal.record_shard(spec, 0, key)
-        cache.discard(key)
-        report = fsck(cache.directory, journal=jpath)
-        assert report.journal_missing == [key]
-        assert report.clean  # advisory: a resume just recomputes
+        spec = "8" * 64
+        cache.put(spec, result)
+        cache.put(f"{spec}.x", result)
+        cache.put(f"{'9' * 64}.0", result)  # its spec has no artifact
+        report = fsck(cache.directory)
+        assert report.orphaned_checkpoints == []
+        assert report.clean
 
-    def test_torn_journal_tail_is_an_issue_until_compacted(
-        self, tmp_path, result
-    ):
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
-        )
+    def test_stale_journal_file_is_ignored(self, tmp_path, result):
+        cache, spec, shard_keys = self._checkpointed_cache(tmp_path, result)
         for key in shard_keys:
             cache.discard(key)
-        with open(jpath, "a") as handle:
-            handle.write('{"e": "shard", "spec": "tor')  # killed mid-append
-        report = fsck(cache.directory, journal=jpath)
-        assert report.journal_skipped == 1
-        assert not report.clean
-        fsck(cache.directory, journal=jpath, repair=True)
-        assert fsck(cache.directory, journal=jpath).clean
-
-    def test_repair_compacts_the_journal(self, tmp_path, result):
-        cache, jpath, spec, shard_keys = self._journaled_cache(
-            tmp_path, result
-        )
-        for key in shard_keys:
-            cache.discard(key)
-        before = jpath.stat().st_size
-        fsck(cache.directory, journal=jpath, repair=True)
-        assert jpath.stat().st_size < before
-        reloaded = RunJournal(jpath)
-        assert reloaded.is_complete(spec)
-        assert reloaded.skipped_lines == 0
+        stale = cache.directory / "journal.jsonl"
+        stale.write_text('{"e": "shard", "spec": "tor')  # torn record
+        report = fsck(cache.directory)
+        assert report.clean
+        assert "journal_path" not in report.as_dict()
+        fsck(cache.directory, repair=True)
+        assert stale.read_text() == '{"e": "shard", "spec": "tor'
 
 
 class TestFsckReport:
@@ -438,15 +437,3 @@ class TestFsckCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["corrupt"] == [KEY]
         assert payload["clean"] is False
-
-    def test_journal_defaults_to_cache_sidecar(self, tmp_path, result, capsys):
-        cache = ResultCache(tmp_path / "cache")
-        jpath = cache.directory / "journal.jsonl"
-        with RunJournal(jpath) as journal:
-            spec = "7" * 64
-            cache.put(spec, result)
-            journal.record_spec(spec)
-        assert main([str(cache.directory), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["journal_path"] == str(jpath)
-        assert payload["journal_specs"] == 1

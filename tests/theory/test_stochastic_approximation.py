@@ -134,18 +134,27 @@ class TestStochasticApproximationProcess:
     def test_absorption_tendency(self, rng):
         # After many steps, trajectories should be pushed away from the
         # unstable point 1/2 toward the boundaries.
-        finals = []
-        for _ in range(300):
-            sa = sl_pos_stochastic_approximation(0.3, reward=0.05)
-            trajectory = sa.run(3000, rng)
-            finals.append(trajectory[-1])
-        finals = np.array(finals)
+        sa = sl_pos_stochastic_approximation(0.3, reward=0.05)
+        finals = sa.run_many(3000, 300, rng)[-1]
         # Mass near the centre should be small.
         assert np.mean(np.abs(finals - 0.5) < 0.1) < 0.1
 
     def test_run_length(self, rng):
         sa = sl_pos_stochastic_approximation(0.5, reward=0.01)
         assert sa.run(50, rng).shape == (50,)
+
+    def test_run_many_shape_leaves_state_alone(self, rng):
+        sa = sl_pos_stochastic_approximation(0.4, reward=0.01)
+        assert sa.run_many(50, 7, rng).shape == (50, 7)
+        assert (sa.share, sa.step) == (0.4, 0)
+
+    @pytest.mark.parametrize("share,reward", [(0.3, 0.05), (0.5, 0.2)])
+    def test_run_many_single_column_matches_run_bitwise(self, share, reward):
+        scalar = sl_pos_stochastic_approximation(share, reward=reward)
+        vector = sl_pos_stochastic_approximation(share, reward=reward)
+        expected = scalar.run(2000, np.random.default_rng(99))
+        column = vector.run_many(2000, 1, np.random.default_rng(99))[:, 0]
+        assert column.tobytes() == expected.tobytes()
 
 
 class TestMultiMinerDrift:
