@@ -228,6 +228,28 @@ class TestScheduledFaults:
         assert cache.stats()["degraded"] is True
         assert list(root.glob("*.npz")) == []
 
+    def test_enospc_under_resume_still_returns_exact_results(self, tmp_path):
+        spec = SimulationSpec(
+            protocol=ProofOfWork(0.01),
+            allocation=Allocation.two_miners(0.2),
+            trials=40,
+            horizon=50,
+            seed=7,
+        )
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        root = tmp_path / "full-disk"
+        chaos = DiskChaos(schedule=DiskFaultSchedule(seed=5, enospc_rate=1.0))
+        runner = ParallelRunner(workers=1, cache=root, resume=True)
+        with using_disk_chaos(chaos), pytest.warns(CacheDegradedWarning):
+            result = runner.run(spec, shards=4)
+        # No checkpoint or merged artifact could be stored, yet the
+        # results are the in-memory ones, bit for bit.
+        assert runner.cache.degraded
+        assert result.reward_fractions.tobytes() == (
+            reference.reward_fractions.tobytes()
+        )
+        assert list(root.glob("*.npz")) == []
+
     def test_fsync_failures_change_no_bits(
         self, tmp_path, result_a, result_b, reference_bytes
     ):

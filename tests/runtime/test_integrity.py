@@ -366,6 +366,16 @@ class TestFsckOrphanedCheckpoints:
         assert not planted.exists()
         assert fsck(cache.directory).clean
 
+    def test_corrupt_orphan_is_evicted_under_repair(self, tmp_path, result):
+        cache, spec, shard_keys = self._checkpointed_cache(tmp_path, result)
+        _flip_byte(cache.directory / f"{shard_keys[0]}.npz")
+        report = fsck(cache.directory)
+        assert report.corrupt == [shard_keys[0]]
+        assert sorted(report.orphaned_checkpoints) == sorted(shard_keys)
+        fsck(cache.directory, repair=True)
+        assert [p.stem for p in cache.directory.glob("*.npz")] == [spec]
+        assert fsck(cache.directory).clean
+
     def test_dotted_names_that_are_not_checkpoints_are_left_alone(
         self, tmp_path, result
     ):
@@ -437,3 +447,18 @@ class TestFsckCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["corrupt"] == [KEY]
         assert payload["clean"] is False
+
+    def test_orphaned_checkpoint_exits_one_until_repaired(
+        self, cache, result, capsys
+    ):
+        path = cache.put(KEY, result)
+        planted = cache.directory / f"{shard_fingerprint(KEY, 0)}.npz"
+        planted.write_bytes(path.read_bytes())
+        assert main([str(cache.directory)]) == 1
+        assert main([str(cache.directory), "--repair"]) == 0
+        assert not planted.exists()
+        capsys.readouterr()
+        assert main([str(cache.directory), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["clean"] is True
+        assert payload["orphaned_checkpoints"] == []

@@ -26,7 +26,9 @@ from repro.runtime import (
     spec_fingerprint,
 )
 from repro.runtime.executor import SerialExecutor
-from repro.runtime.integrity import QUARANTINE_DIR, fsck
+from repro.runtime.integrity import QUARANTINE_DIR, fsck, read_digest
+from repro.runtime.runner import _simulation_shard_body
+from repro.runtime.sharding import plan_shards
 
 
 def make_spec(trials=40, horizon=50, seed=7, protocol=None):
@@ -197,9 +199,6 @@ class TestResume:
         # the merged artifact was never stored.
         cache = ResultCache(cache_dir)
         key = spec_fingerprint(spec, shards=4)
-        from repro.runtime.runner import _simulation_shard_body
-        from repro.runtime.sharding import plan_shards
-
         plan = plan_shards(spec.trials, spec.seed_sequence, 4)
         for ordinal, shard in enumerate(plan):
             part = _simulation_shard_body(spec, shard)
@@ -281,3 +280,155 @@ class TestResume:
         assert report.artifacts == 1
         fsck(cache_dir, repair=True)
         assert stale.read_bytes() == before
+
+    def test_resume_accepts_a_string_cache_path(self, tmp_path):
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(str(cache_dir), spec, {1})
+
+        resumed = ParallelRunner(workers=1, cache=str(cache_dir), resume=True)
+        assert resumed.cache.directory == cache_dir
+        assert_byte_equal(resumed.run(spec, shards=4), reference)
+        assert resumed.shards_resumed == 2
+
+    def test_checkpoints_survive_a_new_cache_handle(self, tmp_path):
+        spec = make_spec()
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {1})
+        key = spec_fingerprint(spec, shards=4)
+        plan = plan_shards(spec.trials, spec.seed_sequence, 4)
+
+        reopened = ResultCache(cache_dir)
+        for ordinal in (0, 1):
+            shard_key = shard_fingerprint(key, ordinal)
+            assert shard_key in reopened
+            expected = _simulation_shard_body(spec, plan.shards[ordinal])
+            assert_byte_equal(reopened.get(shard_key), expected)
+        assert shard_fingerprint(key, 2) not in reopened
+        assert key not in reopened
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated"])
+    def test_torn_checkpoint_is_quarantined_and_recomputed(
+        self, tmp_path, damage
+    ):
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {1})
+        key = spec_fingerprint(spec, shards=4)
+        victim = cache_dir / f"{shard_fingerprint(key, 1)}.npz"
+        data = victim.read_bytes()
+        victim.write_bytes(b"" if damage == "empty" else data[: len(data) // 3])
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=4)
+        assert_byte_equal(result, reference)
+        assert resumed.shards_resumed == 1  # ordinal 0 only
+        assert resumed.cache.quarantined == 1
+        assert [p.stem for p in cache_dir.glob("*.npz")] == [key]
+        assert fsck(cache_dir).clean
+
+    def test_repeated_interruptions_accumulate_checkpoints(self, tmp_path):
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        key = spec_fingerprint(spec, shards=4)
+
+        def checkpointed():
+            return sorted(p.stem for p in cache_dir.glob("*.npz"))
+
+        # One shard per task: shards 1 and 2 are lost.
+        interrupt(cache_dir, spec, {1, 2}, workers=4)
+        assert checkpointed() == [f"{key}.0", f"{key}.3"]
+        # The second attempt dispatches only shards 1 and 2, and loses
+        # shard 1 again.
+        second = ParallelRunner(
+            executor=BombExecutor({0}, workers=4), cache=cache_dir, resume=True
+        )
+        with pytest.raises(ShardExecutionError):
+            second.run(spec, shards=4)
+        assert second.shards_resumed == 2
+        assert checkpointed() == [f"{key}.0", f"{key}.2", f"{key}.3"]
+
+        third = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        assert_byte_equal(third.run(spec, shards=4), reference)
+        assert third.shards_resumed == 3
+        assert checkpointed() == [key]
+
+    def test_plain_run_writes_no_checkpoints(self, tmp_path):
+        spec = make_spec()
+        cache_dir = tmp_path / "cache"
+        runner = ParallelRunner(
+            executor=BombExecutor({1}), cache=cache_dir
+        )
+        with pytest.raises(ShardExecutionError):
+            runner.run(spec, shards=4)
+        assert list(cache_dir.glob("*.npz")) == []
+
+    def test_plain_run_ignores_checkpoints(self, tmp_path):
+        spec = make_spec()
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupt(cache_dir, spec, {1})
+        key = spec_fingerprint(spec, shards=4)
+
+        plain = ParallelRunner(workers=1, cache=cache_dir)
+        assert_byte_equal(plain.run(spec, shards=4), reference)
+        assert plain.shards_resumed == 0
+        # Without resume the checkpoints are neither read nor
+        # discarded; next to the merged artifact they are orphans,
+        # which fsck --repair clears.
+        report = fsck(cache_dir)
+        assert sorted(report.orphaned_checkpoints) == [
+            shard_fingerprint(key, 0), shard_fingerprint(key, 1),
+        ]
+        fsck(cache_dir, repair=True)
+        assert [p.stem for p in cache_dir.glob("*.npz")] == [key]
+
+    def test_cached_spec_is_served_while_another_resumes(self, tmp_path):
+        done = make_spec(seed=7)
+        unfinished = make_spec(seed=8, protocol=MultiLotteryPoS(0.01))
+        reference = [
+            ParallelRunner(workers=1).run(s, shards=4)
+            for s in (done, unfinished)
+        ]
+        cache_dir = tmp_path / "cache"
+        ParallelRunner(workers=1, cache=cache_dir).run(done, shards=4)
+        interrupt(cache_dir, unfinished, {1})
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        hits = resumed.cache.hits
+        results = resumed.run_many([done, unfinished], shards=4)
+        for result, expected in zip(results, reference):
+            assert_byte_equal(result, expected)
+        # The finished spec's merged hit plus two checkpoint hits.
+        assert resumed.cache.hits - hits == 3
+        assert resumed.shards_resumed == 2
+
+    def test_finished_grid_leaves_only_merged_artifacts(self, tmp_path):
+        specs = [
+            make_spec(seed=7),
+            make_spec(seed=8, protocol=MultiLotteryPoS(0.01)),
+        ]
+        cache_dir = tmp_path / "cache"
+        interrupted = ParallelRunner(
+            executor=BombExecutor({1, 2}, workers=4),
+            cache=cache_dir,
+            resume=True,
+        )
+        with pytest.raises(ShardExecutionError):
+            interrupted.run_many(specs, shards=4)
+        ParallelRunner(workers=1, cache=cache_dir, resume=True).run_many(
+            specs, shards=4
+        )
+
+        keys = sorted(spec_fingerprint(s, shards=4) for s in specs)
+        assert sorted(p.stem for p in cache_dir.glob("*.npz")) == keys
+        for key in keys:
+            assert read_digest(cache_dir, key) is not None
+            for ordinal in range(4):
+                assert read_digest(
+                    cache_dir, shard_fingerprint(key, ordinal)
+                ) is None
+        assert fsck(cache_dir).clean

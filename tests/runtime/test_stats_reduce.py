@@ -26,6 +26,7 @@ from repro.runtime import (
     ShardExecutionError,
     SimulationSpec,
     SystemSpec,
+    shard_fingerprint,
     spec_fingerprint,
 )
 from repro.runtime.executor import SerialExecutor
@@ -268,6 +269,29 @@ class TestResumeUnderStats:
         assert resumed.cache.hits >= 1
         assert_stats_byte_equal(result, reference)
 
+
+    def test_corrupt_stats_checkpoint_is_quarantined_and_recomputed(
+        self, tmp_path
+    ):
+        spec = make_spec(trials=40, horizon=50)
+        reference = ParallelRunner(workers=1).run(spec, shards=4)
+        cache_dir = tmp_path / "cache"
+        interrupted = ParallelRunner(
+            executor=BombExecutor({2}), cache=cache_dir, resume=True
+        )
+        with pytest.raises(ShardExecutionError):
+            interrupted.run(spec, shards=4)
+        key = spec_fingerprint(spec, shards=4)
+        victim = cache_dir / f"{shard_fingerprint(key, 0)}.npz"
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        victim.write_bytes(bytes(data))
+
+        resumed = ParallelRunner(workers=1, cache=cache_dir, resume=True)
+        result = resumed.run(spec, shards=4)
+        assert_stats_byte_equal(result, reference)
+        assert resumed.shards_resumed == 2  # ordinals 1 and 3
+        assert resumed.cache.quarantined == 1
 
 class TestCLIWiring:
     def build(self, argv):

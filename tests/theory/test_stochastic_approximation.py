@@ -157,6 +157,23 @@ class TestStochasticApproximationProcess:
         assert column.tobytes() == expected.tobytes()
 
 
+    def test_run_many_rejects_empty_sizes(self, rng):
+        sa = sl_pos_stochastic_approximation(0.4, reward=0.01)
+        with pytest.raises(ValueError):
+            sa.run_many(0, 3, rng)
+        with pytest.raises(ValueError):
+            sa.run_many(5, 0, rng)
+
+    def test_run_many_continues_from_an_advanced_state(self):
+        scalar = sl_pos_stochastic_approximation(0.3, reward=0.05)
+        vector = sl_pos_stochastic_approximation(0.3, reward=0.05)
+        scalar.run(100, np.random.default_rng(5))
+        vector.run(100, np.random.default_rng(5))
+        # The step sizes continue from step 100, not from step 0.
+        expected = scalar.run(500, np.random.default_rng(6))
+        column = vector.run_many(500, 1, np.random.default_rng(6))[:, 0]
+        assert column.tobytes() == expected.tobytes()
+
 class TestMultiMinerDrift:
     def test_rich_get_richer_sign_structure(self):
         shares = [0.1, 0.2, 0.3, 0.4]
